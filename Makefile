@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test check soak soak-pooled soak-overload soak-crash soak-flight soak-reconfig soak-memory fuzz fuzz-smoke fuzz-reconfig bench bench-json bench-sched bench-smoke bench-open-loop bench-durability bench-trace bench-reconfig metrics-demo clean
+.PHONY: all build vet test check soak soak-overload soak-crash soak-flight soak-reconfig soak-memory fuzz fuzz-smoke fuzz-reconfig bench bench-json bench-sched bench-smoke bench-open-loop bench-durability bench-trace bench-reconfig metrics-demo clean
 
 all: check
 
@@ -24,12 +24,7 @@ test:
 soak:
 	$(GO) test -race -run 'TestLiveRecoverySoak|TestLiveClusterCommits|TestReconnectAfterPeerRestart|TestLiveAdminEndpoints' ./internal/transport
 
-# Live n=5 cluster on the Pooled scheduler (ingress verify pool +
-# cert cache + async execute/egress) under netchaos, race-enabled.
-soak-pooled:
-	$(GO) test -race -run 'TestLivePooledSoak' ./internal/transport
-
-# Open-loop overload soak: live n=3 pooled cluster behind the netchaos
+# Open-loop overload soak: live n=3 cluster behind the netchaos
 # WAN profile (40 ms RTT), offered ~2x its measured saturation by
 # >10,000 client sessions over a bounded connection pool; asserts
 # bounded p99, flat goroutines/heap (via a real /metrics scrape),
@@ -103,7 +98,7 @@ bench:
 
 # Machine-readable benchmark artifact (quick windows): per-protocol
 # throughput, mean/p50/p99 latency and message complexity, plus the
-# live sync-vs-pooled scheduler ablation, the live open-loop
+# live pipeline-depth ablation, the live open-loop
 # overload rows (WAN profile, 1x/2x saturation), the durability
 # table (WAL fsync policies + cold-restart cost) and the trace
 # breakdown (per-stage attribution, critical-path coverage, sampling
@@ -111,19 +106,18 @@ bench:
 bench-json:
 	$(GO) run ./cmd/achilles-bench -quick -faults 1,2,4 -fig 3cd -sched-ablation -open-loop -durability -trace-breakdown -reconfig -json BENCH_achilles.json
 
-# Live loopback TCP scheduler ablation only (full windows): saturated
-# n=5 throughput under -sched sync vs -sched pooled, each crossed with
-# chained-pipelining depths 1/2/4/8.
+# Live loopback TCP pipeline-depth ablation only (full windows):
+# saturated n=5 throughput at chained-pipelining depths 1/2/4/8.
 bench-sched:
 	$(GO) run ./cmd/achilles-bench -sched-ablation
 
-# CI pipelining gate (reduced windows): a live loopback n=3 pooled
-# cluster at depth 4 must commit at least as much as at depth 1.
+# CI pipelining gate (reduced windows): a live loopback n=3 cluster at
+# depth 4 must commit at least as much as at depth 1.
 bench-smoke:
 	$(GO) test -run 'TestPipelineSpeedupSmoke' -timeout 120s -count=1 -v ./internal/harness
 
-# Live open-loop overload rows only (full windows): n=3 pooled cluster
-# with mempool admission control behind the netchaos WAN profile,
+# Live open-loop overload rows only (full windows): n=3 cluster with
+# mempool admission control behind the netchaos WAN profile,
 # offered 1x and 2x its measured saturation.
 bench-open-loop:
 	$(GO) run ./cmd/achilles-bench -open-loop

@@ -41,7 +41,7 @@ type report struct {
 	Table3      []harness.ExpRow            `json:"table3,omitempty"`
 	Table4      []harness.Table4Row         `json:"table4,omitempty"`
 	// SchedAblation is a live (non-simulated) experiment: a real
-	// loopback TCP cluster measured under each hot-path scheduler.
+	// loopback TCP cluster measured at each chained-pipelining depth.
 	SchedAblation []harness.SchedAblationRow `json:"sched_ablation,omitempty"`
 	// OpenLoop is the live open-loop overload measurement (-open-loop):
 	// offered vs admitted vs committed rate under a WAN profile, the
@@ -71,7 +71,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "short measurement windows")
 		faults   = flag.String("faults", "1,2,4,10,20,30", "comma-separated f values for Fig. 3a-3d")
 		jsonPath = flag.String("json", "", "also write the results of everything that ran as JSON to this path (e.g. BENCH_achilles.json)")
-		ablation = flag.Bool("sched-ablation", false, "measure a live loopback TCP cluster under the sync and pooled hot-path schedulers")
+		ablation = flag.Bool("sched-ablation", false, "measure a live loopback TCP cluster at chained-pipelining depths 1/2/4/8")
 		openLoop = flag.Bool("open-loop", false, "measure open-loop overload on a live loopback cluster behind a WAN profile: offered vs admitted vs committed rate at multiples of saturation")
 		olSess   = flag.Int("ol-sessions", 10000, "open-loop client-session population (-open-loop)")
 		olConns  = flag.Int("ol-conns", 16, "open-loop generator connection-pool size (-open-loop)")
@@ -203,7 +203,7 @@ func main() {
 		ran = true
 		rows := harness.SchedAblation(5, 24871, d)
 		harness.PrintSchedRows(os.Stdout,
-			"Scheduler ablation — live loopback TCP, n=5, ECDSA, saturated synthetic load", rows)
+			"Pipeline-depth ablation — live loopback TCP, n=5, ECDSA, saturated synthetic load", rows)
 		rep.SchedAblation = rows
 	}
 	if *openLoop {
@@ -214,7 +214,7 @@ func main() {
 			WAN:      !*olLAN,
 		}, d)
 		harness.PrintOpenLoopRows(os.Stdout,
-			"Open-loop overload — live loopback TCP, n=3, pooled scheduler, mempool admission control", rows)
+			"Open-loop overload — live loopback TCP, n=3, mempool admission control", rows)
 		rep.OpenLoop = rows
 	}
 	if *durab {
@@ -228,7 +228,7 @@ func main() {
 		ran = true
 		bd := harness.TraceBreakdown(3, 26371, d)
 		harness.PrintTraceBreakdown(os.Stdout,
-			"Trace breakdown — live loopback TCP, n=3, pooled scheduler, every trace sampled", bd)
+			"Trace breakdown — live loopback TCP, n=3, every trace sampled", bd)
 		rep.TraceBreakdown = &bd
 	}
 	if *reconfig {

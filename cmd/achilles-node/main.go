@@ -36,7 +36,6 @@ import (
 	"achilles/internal/netchaos"
 	"achilles/internal/obs"
 	"achilles/internal/protocol"
-	"achilles/internal/sched"
 	"achilles/internal/tee"
 	"achilles/internal/transport"
 	"achilles/internal/types"
@@ -56,12 +55,7 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "durable data directory (WAL, snapshots, sealed state); empty runs in-memory")
 		fsyncPol  = flag.String("fsync", "batch", "WAL fsync policy: always (every append), batch (group commit), none (OS decides)")
 		snapEvery = flag.Uint64("snapshot-interval", 512, "state snapshot every this many committed heights (with -data-dir)")
-		schedName = flag.String("sched", "sync", "hot-path scheduler: sync (inline, single-threaded) or pooled (ingress verify pool + async execute/egress)")
-		schedWork = flag.Int("sched-workers", 0, "verify-pool workers for -sched pooled (0 = GOMAXPROCS)")
 		pipeDepth = flag.Int("pipeline-depth", 1, "chained-consensus heights the leader keeps in flight (1 = classic lock-step; >1 proposes height h+1 before h commits)")
-		adaptive  = flag.Bool("adaptive-batch", false, "size each proposed batch from mempool depth instead of always -batch (see -adaptive-batch-min/max)")
-		adaptMin  = flag.Int("adaptive-batch-min", 0, "floor for -adaptive-batch sizing (0 = 1)")
-		adaptMax  = flag.Int("adaptive-batch-max", 0, "cap for -adaptive-batch sizing (0 = -batch)")
 		retain    = flag.Uint64("retain-heights", 1024, "committed block bodies retained below the head before pruning; a rebooted empty node can only catch up by replay while peers still hold the bodies it missed")
 		mpDepth   = flag.Int("mempool-depth", 0, "admission depth bound: reject client transactions once the pool holds this many (0 = unbounded, legacy behavior)")
 		clRate    = flag.Float64("client-rate", 0, "per-client admitted transactions per second, enforced by a token bucket (0 = unlimited)")
@@ -130,16 +124,6 @@ func main() {
 		BaseTimeout: *timeout, Seed: *seed,
 	}
 
-	// The transaction pool is built here (rather than inside the
-	// replica) so the pooled scheduler's ingress stage can share it for
-	// staged batch admission.
-	var txpool *mempool.Pool
-	if *synthetic {
-		txpool = mempool.NewSynthetic(self, *payload)
-	} else {
-		txpool = mempool.New()
-	}
-
 	// Mempool admission control: zero values leave the pool unbounded
 	// (the historical behavior); any bound set turns on reject-not-block
 	// overload handling with RETRY-AFTER responses to clients.
@@ -148,35 +132,6 @@ func main() {
 		ClientRate:  *clRate,
 		ClientBurst: *clBurst,
 		RetryAfter:  *raDelay,
-	}
-
-	// Hot-path scheduler selection. The live path never charges the
-	// modelled clock, so the verified-cert cache is safe here (the
-	// simulator must not use one; see core.Config.CertCache).
-	var (
-		hotSched sched.Scheduler
-		cache    *crypto.CertCache
-		verifier *core.Verifier
-		pooled   *sched.Pooled
-	)
-	switch *schedName {
-	case "sync":
-		hotSched = sched.NewSync()
-	case "pooled":
-		cache = crypto.NewCertCache(crypto.DefaultCertCacheSize)
-		cache.RegisterMetrics(reg)
-		verifier = core.NewVerifier(scheme, ring, pcfg, cache)
-		verifier.SetMempool(txpool)
-		pooled = sched.NewPooled(sched.Options{
-			Workers: *schedWork,
-			Verify:  verifier.PreVerify,
-			Obs:     reg,
-			Spans:   spans,
-		})
-		verifier.SetBatchRunner(pooled.RunBatch)
-		hotSched = pooled
-	default:
-		fatalf("unknown -sched %q (want sync or pooled)", *schedName)
 	}
 
 	// Durable storage: with -data-dir the node opens a WAL-backed ledger
@@ -257,13 +212,7 @@ func main() {
 		SealedStore:       sealedStore,
 		Recovering:        *recover_,
 		SyntheticWorkload: *synthetic,
-		Sched:             hotSched,
 		PipelineDepth:     *pipeDepth,
-		AdaptiveBatch:     *adaptive,
-		AdaptiveBatchMin:  *adaptMin,
-		AdaptiveBatchMax:  *adaptMax,
-		CertCache:         cache,
-		Pool:              txpool,
 		Admission:         admCfg,
 		RetainHeights:     *retain,
 		Durable:           durable,
@@ -289,9 +238,6 @@ func main() {
 			}
 			rt.SetEpoch(uint64(m.Epoch), m.ConfigHash())
 			rt.SetRing(epochRing)
-			if verifier != nil {
-				verifier.Rekey(epochRing)
-			}
 			// If this epoch rotated OUR key, future dials must present it:
 			// peers verify handshakes against the new ring, so a Hello
 			// signed with the old key would refuse every reconnect.
@@ -331,7 +277,6 @@ func main() {
 		Scheme: scheme,
 		Ring:   ring,
 		Priv:   priv,
-		Sched:  hotSched,
 		Log:    logger,
 		OnCommit: func(b *types.Block, _ *types.CommitCert) {
 			committed.Add(1)
@@ -346,20 +291,10 @@ func main() {
 		mainLog.Infof("netchaos fault injection enabled")
 	}
 	rt = transport.New(tcfg, rep)
-	if verifier != nil {
-		// Staged admission needs the runtime clock for its token
-		// buckets, and routes RETRY-AFTER rejections through the ordered
-		// egress stage so they serialize with ordinary client replies.
-		// Both must be wired before Start (ingress workers read them).
-		verifier.SetClock(rt.Now)
-		verifier.SetBackpressure(func(client types.NodeID, m *types.ClientRetry) {
-			pooled.Egress(func() { rt.Send(client, m) })
-		})
-	}
 	if err := rt.Start(); err != nil {
 		fatalf("start: %v", err)
 	}
-	mainLog.Infof("listening on %s (n=%d f=%d sched=%s)", listen, n, (n-1)/2, hotSched.Name())
+	mainLog.Infof("listening on %s (n=%d f=%d)", listen, n, (n-1)/2)
 
 	// A node restarting after reconfigurations restores its membership
 	// during Init (async on the event loop). Once it settles, align the
@@ -377,9 +312,6 @@ func main() {
 			if m.Epoch > 0 {
 				if epochRing, err := crypto.RingFromKeys(scheme, m.Keys); err == nil {
 					rt.SetRing(epochRing)
-					if verifier != nil {
-						verifier.Rekey(epochRing)
-					}
 				}
 				rt.SetEpoch(uint64(m.Epoch), m.ConfigHash())
 				if kb := m.Keys[self]; len(kb) > 0 {
@@ -431,9 +363,9 @@ func main() {
 					fmt.Sprintf("last_commit_ago=%.1fs", st.LastCommitAgoSeconds))
 			}
 		case <-sig:
-			// Graceful shutdown: stop the transport and scheduler stages
-			// first (no more commits arrive), then flush and close the
-			// WAL so every acknowledged commit is on disk before exit.
+			// Graceful shutdown: stop the transport first (no more
+			// commits arrive), then flush and close the WAL so every
+			// acknowledged commit is on disk before exit.
 			mainLog.Infof("shutting down")
 			rt.Stop()
 			if durable != nil {

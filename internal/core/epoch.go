@@ -8,10 +8,9 @@ package core
 // every replica when the committed height reaches h+Δ. Activation swaps
 // the membership (quorum size, leader rotation), rebuilds the PKI ring
 // from the new epoch's marshalled keys, rotates the verification
-// services (resetting the cert cache so old-epoch proofs die with their
-// keys), and seals the new epoch's config hash into the enclave, which
-// rotates the sealing key — old-epoch sealed blobs are refused loudly
-// from then on.
+// services, and seals the new epoch's config hash into the enclave,
+// which rotates the sealing key — old-epoch sealed blobs are refused
+// loudly from then on.
 //
 // Safety across the boundary follows from two rules: at most one
 // reconfiguration is in flight at a time (a second command is rejected
@@ -551,11 +550,11 @@ func (r *Replica) maybeActivateEpoch(committed types.Height) {
 }
 
 // activateEpoch performs the epoch transition: ring rebuild, service
-// rekey (cache reset included), enclave config-hash sealing (which
-// rotates the sealing key), membership swap, and the live-node rewiring
-// callback. Failure leaves the old epoch active and fires the flight
-// recorder — a node that cannot activate is about to diverge from the
-// cluster and the evidence window matters.
+// rekey, enclave config-hash sealing (which rotates the sealing key),
+// membership swap, and the live-node rewiring callback. Failure leaves
+// the old epoch active and fires the flight recorder — a node that
+// cannot activate is about to diverge from the cluster and the evidence
+// window matters.
 func (r *Replica) activateEpoch(committed types.Height) {
 	next := r.pending
 	r.pending = nil

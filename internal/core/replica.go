@@ -5,18 +5,10 @@
 // recovery protocol (Algorithm 3) on top of the CHECKER and
 // ACCUMULATOR trusted components.
 //
-// The hot path is organized as a staged pipeline (see internal/sched
-// and DESIGN.md "Concurrency model"):
-//
-//   - verify.go holds the stateless half: signature and certificate
-//     checks that are pure functions of the PKI ring, runnable on
-//     ingress worker goroutines before a message reaches the loop;
-//   - steps.go holds the state-mutating step functions, which must run
-//     single-threaded on the consensus goroutine (protocol.Env
-//     contract);
-//   - post-commit observer work and client-reply egress are handed to
-//     the configured scheduler, which runs them inline (Sync) or on
-//     ordered workers off the consensus goroutine (Pooled).
+// The whole hot path runs single-threaded on the consensus goroutine
+// (protocol.Env contract; DESIGN.md "Concurrency model"): steps.go holds
+// the step functions, which verify, call the trusted components, commit,
+// execute and reply to clients inline, in program order.
 package core
 
 import (
@@ -31,7 +23,6 @@ import (
 	"achilles/internal/mempool"
 	"achilles/internal/obs"
 	"achilles/internal/protocol"
-	"achilles/internal/sched"
 	"achilles/internal/statemachine"
 	"achilles/internal/tee"
 	"achilles/internal/types"
@@ -101,40 +92,8 @@ type Config struct {
 	// certifies the chain link), and the view advances only on timeout,
 	// idle rotation or epoch activation.
 	PipelineDepth int
-	// AdaptiveBatch sizes each proposed batch from the mempool depth
-	// instead of the fixed BatchSize: deep backlogs fill blocks toward
-	// AdaptiveBatchMax, light traffic proposes small blocks down to
-	// AdaptiveBatchMin, so idle-period latency does not pay for
-	// saturation throughput. Off keeps the fixed BatchSize, which the
-	// deterministic runs pin. Meaningless under SyntheticWorkload (the
-	// synthetic generator bypasses the queue the depth is read from).
-	AdaptiveBatch bool
-	// AdaptiveBatchMin floors the adaptive batch size; 0 defaults to 1.
-	AdaptiveBatchMin int
-	// AdaptiveBatchMax caps the adaptive batch size; 0 defaults to
-	// 4x BatchSize.
-	AdaptiveBatchMax int
-	// Sched coordinates the staged hot path. The replica submits
-	// post-commit observer work to its Execute stage and client replies
-	// to its Egress stage; the live runtime additionally routes inbound
-	// frames through its Ingress stage. nil defaults to sched.NewSync()
-	// — every stage inline, bit-exact with the historical
-	// single-threaded replica — which is what the simulator, harness
-	// and fuzzer use. The live node passes the same scheduler instance
-	// here and to transport.Config.Sched.
-	Sched sched.Scheduler
-	// CertCache is the verified-signature cache shared with the
-	// ingress verify stage (core.Verifier): signatures the verify pool
-	// already checked become cache hits in the consensus handlers and
-	// the modelled trusted components. Live path only — a cache hit
-	// skips the metered Charge, which on the simulator would shift
-	// virtual time and break deterministic replay, so harness/sim
-	// leave it nil.
-	CertCache *crypto.CertCache
-	// Pool injects an externally constructed mempool. The live node
-	// shares it with the ingress stage (core.Verifier), which stages
-	// client transactions off-loop for batched admission. nil creates
-	// a pool from SyntheticWorkload.
+	// Pool injects an externally constructed mempool (callers that want
+	// to inspect it). nil creates a pool from SyntheticWorkload.
 	Pool *mempool.Pool
 	// Admission bounds what the pool accepts from clients (depth bound
 	// and per-client token buckets); rejected submissions are answered
@@ -239,9 +198,8 @@ type round struct {
 
 // Replica is an Achilles consensus node.
 type Replica struct {
-	cfg   Config
-	env   protocol.Env
-	sched sched.Scheduler
+	cfg Config
+	env protocol.Env
 
 	svc     *crypto.Service
 	teeSvc  *crypto.Service
@@ -404,9 +362,6 @@ func New(cfg Config) *Replica {
 	if cfg.ConnSetupPerPeer == 0 {
 		cfg.ConnSetupPerPeer = 100 * time.Microsecond
 	}
-	if cfg.Sched == nil {
-		cfg.Sched = sched.NewSync()
-	}
 	if cfg.RetainHeights == 0 {
 		cfg.RetainHeights = 1024
 	}
@@ -415,7 +370,6 @@ func New(cfg Config) *Replica {
 	}
 	return &Replica{
 		cfg:              cfg,
-		sched:            cfg.Sched,
 		m:                newMetrics(cfg.Obs),
 		trace:            cfg.Trace,
 		viewCerts:        make(map[types.View]map[types.NodeID]*types.ViewCert),
@@ -494,15 +448,6 @@ func (r *Replica) Init(env protocol.Env) {
 		if h, _ := r.cfg.Durable.Recovered().Tip(); h > 0 || hasMarker {
 			mustRecover = true
 		}
-	}
-	if r.cfg.CertCache != nil {
-		// Share the ingress stage's verified-signature cache so the
-		// handlers' (and modelled trusted components') re-checks of
-		// pre-verified certificates cost a digest instead of an ECDSA
-		// operation. See DESIGN.md "Concurrency model" for why this is
-		// sound and what a real enclave would do instead.
-		r.svc.SetCache(r.cfg.CertCache)
-		teeSvc.SetCache(r.cfg.CertCache)
 	}
 	r.chk = checker.New(checker.Config{
 		Enclave:      r.enclave,

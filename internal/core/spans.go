@@ -6,8 +6,8 @@ package core
 // every frame sent while handling the proposal's messages carries it,
 // and records the spans that attribute the commit path:
 //
-//	client-admit → mempool-wait → batch → propose → ingress-verify
-//	   → quorum-assembly → tee-ecall → commit → execute → egress-reply
+//	mempool-wait → batch → propose → quorum-assembly → tee-ecall
+//	   → commit → execute → egress-reply
 //
 // The leader-path trio propose / quorum-assembly / commit is measured
 // on the env clock (the same clock as achilles_commit_latency_seconds)
@@ -64,19 +64,16 @@ func (r *Replica) observeSpan(ctx types.TraceContext, stage string, view types.V
 	r.cfg.Spans.Observe(ctx, stage, uint64(view), uint64(height), d, detail)
 }
 
-// spanWrap wraps fn so its wall-clock duration is recorded as a span
-// when ctx is sampled; otherwise fn is returned untouched (the
-// scheduler stages run the original closure, zero overhead).
-func (r *Replica) spanWrap(ctx types.TraceContext, stage string, view types.View, height types.Height, fn func()) func() {
+// runSpan runs fn and, when ctx is sampled, records its wall-clock
+// duration as a span.
+func (r *Replica) runSpan(ctx types.TraceContext, stage string, view types.View, height types.Height, fn func()) {
 	if r.cfg.Spans == nil || !ctx.Sampled {
-		return fn
-	}
-	spans := r.cfg.Spans
-	return func() {
-		t0 := time.Now()
 		fn()
-		spans.Observe(ctx, stage, uint64(view), uint64(height), time.Since(t0), "")
+		return
 	}
+	t0 := time.Now()
+	fn()
+	r.cfg.Spans.Observe(ctx, stage, uint64(view), uint64(height), time.Since(t0), "")
 }
 
 // ecallDurationObserver feeds trusted-call durations into the tee-ecall

@@ -5,11 +5,8 @@ package core
 // (checker, ledger, mempool, pacemaker, the stash maps). Every function
 // here runs on the single consensus goroutine — OnMessage/OnTimer are
 // the only entry points, per the protocol.Env contract — which is what
-// lets the bodies stay lock-free. The stateless counterpart (signature
-// and certificate verification that may run on ingress workers) lives
-// in verify.go; post-commit observer work and client replies are handed
-// to the configured scheduler (internal/sched) at the bottom of
-// handleCC.
+// lets the bodies stay lock-free. Post-commit execution and client
+// replies run inline at the bottom of handleCC.
 
 import (
 	"bytes"
@@ -19,7 +16,6 @@ import (
 
 	"achilles/internal/mempool"
 	"achilles/internal/obs"
-	"achilles/internal/sched"
 	"achilles/internal/types"
 )
 
@@ -186,21 +182,11 @@ func (r *Replica) OnMessage(from types.NodeID, msg types.Message) {
 			// node never leads (stable-view pipelining): forward once,
 			// before ordinary admission (epoch.go).
 			r.forwardReconfigTxs(m.Txs)
-			// On the pooled live path the ingress stage staged this
-			// message's transactions off-loop (core.Verifier), applying
-			// admission there; draining admits everything staged so far
-			// in one batch. A message whose transactions were already
-			// drained by an earlier step falls through to Add, where the
-			// dedup maps drop them. On the inline path nothing ever
-			// stages, so DrainStaged is always 0 and the behavior is the
-			// historical Add — now with admission control when
-			// configured, answering rejections with explicit RETRY-AFTER
-			// backpressure instead of silent queue growth.
-			if r.pool.DrainStaged() == 0 {
-				res := r.pool.Add(m.Txs, r.env.Now())
-				if res.Rejected() > 0 {
-					r.sendRetries(res)
-				}
+			// Admission control, when configured, answers rejections
+			// with explicit RETRY-AFTER backpressure instead of silent
+			// queue growth.
+			if res := r.pool.Add(m.Txs, r.env.Now()); res.Rejected() > 0 {
+				r.sendRetries(res)
 			}
 			r.tryPropose()
 		}
@@ -208,26 +194,21 @@ func (r *Replica) OnMessage(from types.NodeID, msg types.Message) {
 }
 
 // sendRetries surfaces admission rejections to the affected clients as
-// types.ClientRetry messages, grouped per client and reason. The sends
-// ride the egress stage like every other client-bound message, so they
-// serialize with replyClients and never block the consensus goroutine.
+// types.ClientRetry messages, grouped per client and reason.
 func (r *Replica) sendRetries(res mempool.AdmitResult) {
 	r.m.admissionRetries.Add(uint64(res.Rejected()))
 	full := groupByClient(res.RejectedFull)
+	for _, c := range sortedClients(full) {
+		r.env.Send(c, &types.ClientRetry{
+			TxKeys: full[c], RetryAfter: res.RetryAfter, Reason: types.RetryPoolFull, From: r.cfg.Self,
+		})
+	}
 	rate := groupByClient(res.RejectedRate)
-	after, self := res.RetryAfter, r.cfg.Self
-	r.sched.Egress(func() {
-		for _, c := range sortedClients(full) {
-			r.env.Send(c, &types.ClientRetry{
-				TxKeys: full[c], RetryAfter: after, Reason: types.RetryPoolFull, From: self,
-			})
-		}
-		for _, c := range sortedClients(rate) {
-			r.env.Send(c, &types.ClientRetry{
-				TxKeys: rate[c], RetryAfter: after, Reason: types.RetryRateLimited, From: self,
-			})
-		}
-	})
+	for _, c := range sortedClients(rate) {
+		r.env.Send(c, &types.ClientRetry{
+			TxKeys: rate[c], RetryAfter: res.RetryAfter, Reason: types.RetryRateLimited, From: r.cfg.Self,
+		})
+	}
 }
 
 // groupByClient buckets rejected transaction keys by their client so
@@ -524,32 +505,6 @@ func (r *Replica) refillWindow() {
 	}
 }
 
-// batchSize returns the proposer's batch budget for the next block:
-// the fixed BatchSize, or — with AdaptiveBatch — a budget that follows
-// the mempool depth, split across the window slots still open so a
-// deep pipeline spreads the backlog over its in-flight heights instead
-// of proposing one huge block and empty successors.
-func (r *Replica) batchSize() int {
-	if !r.cfg.AdaptiveBatch {
-		return r.cfg.BatchSize
-	}
-	lo, hi := r.cfg.AdaptiveBatchMin, r.cfg.AdaptiveBatchMax
-	if lo <= 0 {
-		lo = 1
-	}
-	if hi <= 0 {
-		hi = 4 * r.cfg.BatchSize
-	}
-	if hi < lo {
-		hi = lo
-	}
-	n := r.pool.Len()
-	if open := r.cfg.PipelineDepth - len(r.rounds); open > 1 {
-		n = (n + open - 1) / open
-	}
-	return min(max(n, lo), hi)
-}
-
 // propose creates, certifies and broadcasts a block extending
 // parentHash, justified by exactly one of acc and cc (Algorithm 1,
 // propose function) — or, when both are nil, by the checker's chained
@@ -569,7 +524,7 @@ func (r *Replica) propose(parentHash types.Hash, acc *types.AccCert, cc *types.C
 	if ctx.Sampled {
 		batchT0 = time.Now()
 	}
-	txs := r.pool.NextBatch(r.batchSize(), r.env.Now())
+	txs := r.pool.NextBatch(r.cfg.BatchSize, r.env.Now())
 	var clientTxs []types.Transaction
 	for i := range txs {
 		if !txs[i].Client.IsSynthetic() {
@@ -788,8 +743,8 @@ func (r *Replica) onDecide(from types.NodeID, m *MsgDecide) {
 
 // handleCC processes a commitment certificate: it verifies it, commits
 // the certified block (and uncommitted ancestors, per the chained
-// commit rule), hands observer work and client replies to the
-// scheduler, and advances into the next view.
+// commit rule), executes it and replies to its clients, and advances
+// into the next view.
 func (r *Replica) handleCC(cc *types.CommitCert, from types.NodeID) {
 	if r.store.IsCommitted(cc.Hash) {
 		return
@@ -829,29 +784,15 @@ func (r *Replica) handleCC(cc *types.CommitCert, from types.NodeID) {
 	now := r.env.Now()
 	tctx := r.traceCtx()
 	for _, nb := range newly {
-		nb, cc := nb, cc
 		// The committed block's round (if we led it) leaves the window;
 		// a chained commit retires every ancestor's round with it.
 		delete(r.rounds, nb.Hash())
-		// Post-commit observer work (execute stage) and client replies
-		// (egress stage) leave the consensus goroutine here. Under the
-		// Sync scheduler both run inline, reproducing the historical
-		// effect order exactly; under Pooled they run on ordered workers
-		// so a slow commit observer or client socket never stalls the
-		// next consensus step. MarkCommitted stays inline: the mempool's
-		// dedup maps belong to the consensus goroutine.
-		execTask := r.spanWrap(tctx, obs.StageExecute, cc.View, nb.Height,
-			func() { r.env.Commit(nb, cc) })
-		if hs, ok := r.sched.(sched.HeightSequencer); ok {
-			// Height-tagged: the scheduler checks the pipelined commits
-			// reach its execute lane in increasing height order.
-			hs.ExecuteAt(nb.Height, execTask)
-		} else {
-			r.sched.Execute(execTask)
-		}
+		// The commit observer (execute), mempool bookkeeping and client
+		// replies (egress) run inline on the consensus goroutine, in
+		// height order.
+		r.runSpan(tctx, obs.StageExecute, cc.View, nb.Height, func() { r.env.Commit(nb, cc) })
 		r.pool.MarkCommitted(nb.Txs)
-		r.sched.Egress(r.spanWrap(tctx, obs.StageEgress, cc.View, nb.Height,
-			func() { r.replyClients(nb, cc) }))
+		r.runSpan(tctx, obs.StageEgress, cc.View, nb.Height, func() { r.replyClients(nb, cc) })
 		r.m.commits.Inc()
 		r.m.committedTxs.Add(uint64(len(nb.Txs)))
 		// Latency only for self-proposed blocks: on the live path every
@@ -933,10 +874,7 @@ func (r *Replica) stashCC(cc *types.CommitCert) {
 
 // replyClients sends one certified reply per real client with
 // transactions in the committed block (reply responsiveness, Sec. 6.1:
-// a single verifiable reply suffices). It touches no replica state
-// beyond the immutable block and certificate, so the egress stage may
-// run it off the consensus goroutine (env.Send is goroutine-safe on
-// the live transport; under Sync it runs inline as always).
+// a single verifiable reply suffices).
 func (r *Replica) replyClients(b *types.Block, cc *types.CommitCert) {
 	var perClient map[types.NodeID][]types.TxKey
 	for i := range b.Txs {

@@ -1,20 +1,6 @@
 package core
 
-// This file holds the stateless half of the replica hot path:
-// signature and certificate verification that is a pure function of
-// the PKI key ring and the message bytes. Nothing here reads or writes
-// consensus state, which is what lets the pooled scheduler
-// (internal/sched) run PreVerify on ingress worker goroutines before a
-// message ever reaches the consensus loop. Results land in the shared
-// crypto.CertCache; when the consensus-goroutine handlers (steps.go,
-// recovery.go) and the modelled trusted components re-request the same
-// checks, they hit the cache and pay a digest instead of an ECDSA
-// verification.
-
 import (
-	"achilles/internal/crypto"
-	"achilles/internal/mempool"
-	"achilles/internal/protocol"
 	"achilles/internal/types"
 )
 
@@ -29,192 +15,4 @@ func (r *Replica) verifyViewCert(vc *types.ViewCert) bool {
 	}
 	r.m.badViewCerts.Inc()
 	return false
-}
-
-// Verifier is the ingress-stage pre-verifier: it speculatively runs
-// the signature and quorum-certificate checks a message will need,
-// warming the shared CertCache (and the block-hash memo), so the
-// consensus goroutine's own checks become cache hits. It holds no
-// replica state and is safe for concurrent use from any number of
-// verify-pool workers; sched.Options.Verify is its intended mount
-// point.
-//
-// Pre-verification is strictly an optimization: the consensus handlers
-// (and the trusted components) re-check everything, and only successful
-// verifications are ever cached, so a forged or garbled message costs
-// the attacker a failed check here and another there — it can never
-// make the loop accept anything it would not have accepted inline.
-type Verifier struct {
-	cfg      protocol.Config
-	svc      *crypto.Service
-	pool     *mempool.Pool
-	runBatch func(tasks []func())
-	clock    func() types.Time
-	reject   func(client types.NodeID, m *types.ClientRetry)
-}
-
-// NewVerifier builds a pre-verifier over the node's PKI ring and the
-// cache it shares with the replica (core.Config.CertCache). The
-// internal crypto service is unmetered: pre-verification happens off
-// the consensus goroutine on the live path, where Charge is a no-op
-// anyway, and the simulator never constructs a Verifier.
-func NewVerifier(scheme crypto.Scheme, ring *crypto.KeyRing, cfg protocol.Config, cache *crypto.CertCache) *Verifier {
-	svc := crypto.NewService(scheme, ring, nil, cfg.Self, nil, crypto.Costs{})
-	svc.SetCache(cache)
-	return &Verifier{cfg: cfg, svc: svc}
-}
-
-// Rekey swaps the pre-verifier's ring after an epoch activation (the
-// live node calls it from core.Config.OnEpochChange, alongside the
-// transport rewiring). Cached verdicts from the old ring are reset with
-// the swap. Safe for concurrent use with PreVerify.
-func (v *Verifier) Rekey(ring *crypto.KeyRing) { v.svc.Rekey(ring) }
-
-// SetBatchRunner installs the fan-out hook used for quorum
-// certificates (sched.Pooled.RunBatch): the certificate's f+1 member
-// checks run concurrently instead of sequentially. nil keeps them
-// sequential.
-func (v *Verifier) SetBatchRunner(run func(tasks []func())) { v.runBatch = run }
-
-// SetMempool connects the live node's shared transaction pool: client
-// requests are staged into it off-loop (batch admission) and the
-// consensus-goroutine handler drains the staging buffer in one step.
-func (v *Verifier) SetMempool(p *mempool.Pool) { v.pool = p }
-
-// SetClock installs the runtime clock the staged admission path feeds
-// to the pool's token buckets (transport.Runtime.Now on the live node).
-// Without a clock, staged admission sees time zero — harmless when
-// admission control is disabled, wrong when it is not, so the live node
-// always wires this alongside SetBackpressure.
-func (v *Verifier) SetClock(now func() types.Time) { v.clock = now }
-
-// SetBackpressure installs the rejection sink: when staged admission
-// refuses transactions, send is called once per affected client with
-// the RETRY-AFTER response to deliver. The live node routes it through
-// the scheduler's egress stage so rejection replies serialize with
-// ordinary client replies. send runs on ingress worker goroutines and
-// must be safe for concurrent use.
-func (v *Verifier) SetBackpressure(send func(client types.NodeID, m *types.ClientRetry)) {
-	v.reject = send
-}
-
-// PreVerify inspects one decoded inbound message and runs the
-// stateless checks its consensus handler will repeat. Unknown or
-// unverifiable messages pass through untouched — PreVerify never
-// filters, it only warms caches.
-func (v *Verifier) PreVerify(from types.NodeID, msg types.Message) {
-	switch m := msg.(type) {
-	case *MsgProposal:
-		if m.Block == nil || m.BC == nil {
-			return
-		}
-		// Warm the block-hash memo (the handler hashes the block first
-		// thing) and check the leader's block certificate, which
-		// TEEprepare/TEEstore will re-verify through the cache.
-		m.Block.Hash()
-		v.svc.Verify(m.BC.Signer, types.BlockCertPayload(m.BC.Hash, m.BC.View, m.BC.Height), m.BC.Sig)
-	case *MsgVote:
-		// Deliberately not pre-verified. The leader stops checking
-		// votes at quorum (onVote drops late votes before the
-		// signature check), so pre-verifying every arrival does
-		// strictly more ECDSA work than the inline path. The cache
-		// still collapses the leader's double check — onVote's host
-		// verification marks each store-cert signature, so the
-		// enclave's TEEstoreCommit quorum re-check hits.
-	case *MsgDecide:
-		if m.CC != nil {
-			v.preVerifyCC(m.CC)
-		}
-	case *MsgNewView:
-		// The view certificate is deliberately not pre-verified:
-		// the accumulator verifies certificates on use and stops at
-		// quorum, so most views never need every arriving VC checked
-		// (and a forged one must be re-judged on use anyway — see
-		// maybeSyncViews). The riding commitment certificate IS
-		// pre-verified: if this node already committed it the probe
-		// hits the whole-quorum digest and costs one hash; if not
-		// (we are behind), warming it off-loop is exactly what the
-		// ingress stage is for.
-		if m.CC != nil {
-			v.preVerifyCC(m.CC)
-		}
-	case *MsgRecoveryRpy:
-		if m.Rpy == nil {
-			return
-		}
-		rpy := m.Rpy
-		v.svc.Verify(rpy.Signer,
-			types.RecoveryRpyPayload(rpy.PrepHash, rpy.PrepView, rpy.PrepHeight, rpy.CurView, rpy.Target, rpy.Nonce),
-			rpy.Sig)
-		if m.Block != nil {
-			m.Block.Hash()
-		}
-		if m.BC != nil {
-			v.svc.Verify(m.BC.Signer, types.BlockCertPayload(m.BC.Hash, m.BC.View, m.BC.Height), m.BC.Sig)
-		}
-		if m.CC != nil {
-			v.preVerifyCC(m.CC)
-		}
-	case *types.ClientRequest:
-		if v.pool != nil {
-			now := types.Time(0)
-			if v.clock != nil {
-				now = v.clock()
-			}
-			res := v.pool.Stage(m.Txs, now)
-			if res.Rejected() > 0 {
-				if v.reject != nil {
-					v.sendRetries(res)
-				}
-				// Trim the refused transactions out of the message:
-				// staged admission already judged (and answered) them,
-				// and the consensus step's fallback Add — taken when the
-				// staging buffer comes up empty — must not re-run
-				// admission on the same transactions. A second judgment
-				// could re-reject (a duplicate RETRY-AFTER from this
-				// node, which clients would miscount as another replica
-				// refusing) or re-admit without a token.
-				rejected := make(map[types.TxKey]struct{}, res.Rejected())
-				for _, k := range res.RejectedFull {
-					rejected[k] = struct{}{}
-				}
-				for _, k := range res.RejectedRate {
-					rejected[k] = struct{}{}
-				}
-				kept := m.Txs[:0]
-				for _, tx := range m.Txs {
-					if _, ok := rejected[tx.Key()]; !ok {
-						kept = append(kept, tx)
-					}
-				}
-				m.Txs = kept
-			}
-		}
-	}
-}
-
-// sendRetries fans staged-admission rejections out to the configured
-// backpressure sink, one ClientRetry per affected client and reason,
-// in client order (see sortedClients).
-func (v *Verifier) sendRetries(res mempool.AdmitResult) {
-	full := groupByClient(res.RejectedFull)
-	for _, c := range sortedClients(full) {
-		v.reject(c, &types.ClientRetry{
-			TxKeys: full[c], RetryAfter: res.RetryAfter, Reason: types.RetryPoolFull, From: v.cfg.Self,
-		})
-	}
-	rate := groupByClient(res.RejectedRate)
-	for _, c := range sortedClients(rate) {
-		v.reject(c, &types.ClientRetry{
-			TxKeys: rate[c], RetryAfter: res.RetryAfter, Reason: types.RetryRateLimited, From: v.cfg.Self,
-		})
-	}
-}
-
-// preVerifyCC checks a commitment certificate's f+1 member signatures,
-// fanned out over the batch runner when one is installed, and records
-// the whole-certificate digest so the enclave's TEEstoreCommit check
-// becomes a single cache probe.
-func (v *Verifier) preVerifyCC(cc *types.CommitCert) {
-	v.svc.VerifyQuorumBatch(cc.Signers, types.StoreCertPayload(cc.Hash, cc.View, cc.Height), cc.Sigs, v.runBatch)
 }

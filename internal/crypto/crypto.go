@@ -119,18 +119,13 @@ func DefaultCosts() Costs {
 // through a Service so modelled costs accrue automatically.
 type Service struct {
 	scheme Scheme
-	// ring is swapped atomically on epoch transitions (Rekey): the
-	// consensus goroutine rekeys while ingress verify workers may be
-	// mid-verification against the old epoch's ring.
-	ring atomic.Pointer[KeyRing]
-	// priv is swapped atomically when this node's own key rotates
-	// (RekeyPriv): signing may run on egress workers while the consensus
-	// goroutine performs the epoch transition.
+	// ring and priv are swapped atomically on epoch transitions (Rekey,
+	// RekeyPriv), so a Service stays safe to share across goroutines.
+	ring  atomic.Pointer[KeyRing]
 	priv  atomic.Pointer[PrivateKey]
 	self  types.NodeID
 	meter types.Meter
 	costs Costs
-	cache *CertCache
 }
 
 // NewService returns a metered signing service for node self.
@@ -144,29 +139,12 @@ func NewService(scheme Scheme, ring *KeyRing, priv PrivateKey, self types.NodeID
 	return s
 }
 
-// Rekey swaps the service's key ring for the next epoch's and resets
-// the verified-signature cache: entries proved under an old epoch's
-// keys must not let a rotated-out signature pass after activation.
-func (s *Service) Rekey(ring *KeyRing) {
-	s.ring.Store(ring)
-	s.cache.Reset()
-}
+// Rekey swaps the service's key ring for the next epoch's.
+func (s *Service) Rekey(ring *KeyRing) { s.ring.Store(ring) }
 
 // RekeyPriv swaps the node's own signing key; an epoch that rotates
 // this node's ring key installs the matching private half with it.
 func (s *Service) RekeyPriv(priv PrivateKey) { s.priv.Store(&priv) }
-
-// SetCache attaches a verified-signature cache: verifications that hit
-// it return immediately without charging the modelled cost. Live-path
-// only — on the simulator the skipped Charge would shift virtual time
-// and break deterministic replay, so sim Services must keep cache nil.
-// The same cache may be shared by several Services (e.g. the ingress
-// verify pool's and the consensus goroutine's) as long as they use the
-// same key ring.
-func (s *Service) SetCache(c *CertCache) { s.cache = c }
-
-// Cache returns the attached verified-signature cache (nil when none).
-func (s *Service) Cache() *CertCache { return s.cache }
 
 // Self returns the node identity the service signs for.
 func (s *Service) Self() types.NodeID { return s.self }
@@ -184,21 +162,6 @@ func (s *Service) Sign(msg []byte) types.Signature {
 // Verify checks a signature attributed to node id, charging the
 // modelled verification cost.
 func (s *Service) Verify(id types.NodeID, msg []byte, sig types.Signature) bool {
-	if s.cache != nil {
-		key := CacheKey(id, msg, sig)
-		if s.cache.Seen(key) {
-			return true
-		}
-		ok := s.verifyUncached(id, msg, sig)
-		if ok {
-			s.cache.Mark(key)
-		}
-		return ok
-	}
-	return s.verifyUncached(id, msg, sig)
-}
-
-func (s *Service) verifyUncached(id types.NodeID, msg []byte, sig types.Signature) bool {
 	s.meter.Charge(s.costs.Verify)
 	pk := s.ring.Load().Get(id)
 	if pk == nil {
@@ -213,96 +176,21 @@ func (s *Service) verifyUncached(id types.NodeID, msg []byte, sig types.Signatur
 // checks quorum size. Cost is linear in the number of signatures, which
 // is what makes certificate verification O(f) in the latency model.
 func (s *Service) VerifyQuorum(signers []types.NodeID, msg []byte, sigs []types.Signature) bool {
-	return s.VerifyQuorumBatch(signers, msg, sigs, nil)
-}
-
-// VerifyQuorumBatch is VerifyQuorum with an optional fan-out hook: when
-// run is non-nil the per-signer checks are handed to it as independent
-// tasks (the pooled scheduler executes them on spare verify workers and
-// returns when all are done), turning certificate verification latency
-// from f+1 sequential ECDSA operations into roughly one. A nil run
-// verifies sequentially, which is the simulator's metered path.
-//
-// With a cache attached, a certificate that fully verified before hits
-// a single whole-quorum digest and costs one hash instead of f+1
-// signature checks; the whole-quorum entry is only marked after every
-// member verified and the signer set proved distinct, so a hit implies
-// the complete check passed.
-func (s *Service) VerifyQuorumBatch(signers []types.NodeID, msg []byte, sigs []types.Signature, run func(tasks []func())) bool {
-	if len(signers) != len(sigs) || len(signers) == 0 {
+	if len(signers) != len(sigs) || len(signers) == 0 || !DistinctIDs(signers) {
 		return false
 	}
-	var qkey types.Hash
-	if s.cache != nil {
-		qkey = quorumCacheKey(signers, msg, sigs)
-		if s.cache.Seen(qkey) {
-			return true
-		}
-	}
-	seen := make(map[types.NodeID]bool, len(signers))
-	for _, id := range signers {
-		if seen[id] {
+	for i, id := range signers {
+		if !s.Verify(id, msg, sigs[i]) {
 			return false
 		}
-		seen[id] = true
 	}
-	// True batch verification: with a cache attached (the live path —
-	// the simulator keeps cache nil, so its metered charge sequence is
-	// untouched) and a scheme that supports it, check the whole quorum
-	// in one batched equation. On success the cache is warmed for every
-	// member signature, not just the whole-quorum digest: the inline
-	// paths that later re-check an individual member (vote handling,
-	// the checker) must hit instead of paying a second full
-	// verification — the double-charge the per-member marks close. A
-	// failed batch falls through to the per-signature path below, which
-	// identifies the culprit (or accepts a quorum whose commitment
-	// points the batch equation could not reconstruct).
-	if s.cache != nil && len(signers) > 1 {
-		if bv, canBatch := s.scheme.(BatchVerifier); canBatch {
-			ring := s.ring.Load()
-			pubs := make([]PublicKey, len(signers))
-			known := true
-			for i, id := range signers {
-				if pubs[i] = ring.Get(id); pubs[i] == nil {
-					known = false
-					break
-				}
-			}
-			if known && bv.VerifyBatch(pubs, msg, sigs) {
-				// One charge for the single batched pass.
-				s.meter.Charge(s.costs.Verify)
-				for i, id := range signers {
-					s.cache.Mark(CacheKey(id, msg, sigs[i]))
-				}
-				s.cache.Mark(qkey)
-				return true
-			}
-		}
-	}
-	ok := true
-	if run != nil && len(signers) > 1 {
-		results := make([]bool, len(signers))
-		tasks := make([]func(), len(signers))
-		for i := range signers {
-			i := i
-			tasks[i] = func() { results[i] = s.Verify(signers[i], msg, sigs[i]) }
-		}
-		run(tasks)
-		for _, r := range results {
-			ok = ok && r
-		}
-	} else {
-		for i, id := range signers {
-			if !s.Verify(id, msg, sigs[i]) {
-				ok = false
-				break
-			}
-		}
-	}
-	if ok && s.cache != nil {
-		s.cache.Mark(qkey)
-	}
-	return ok
+	return true
+}
+
+// VerifyQuorumBatch is VerifyQuorum; the ignored fan-out hook is kept
+// only so benchmark/layers.go, which calls it, builds unchanged.
+func (s *Service) VerifyQuorumBatch(signers []types.NodeID, msg []byte, sigs []types.Signature, _ func(tasks []func())) bool {
+	return s.VerifyQuorum(signers, msg, sigs)
 }
 
 // DistinctIDs reports whether ids contains no duplicates.

@@ -125,6 +125,17 @@ func TestServiceUnknownSigner(t *testing.T) {
 	}
 }
 
+// countingMeter counts Charge calls: the simulator's virtual clock
+// advances once per metered verification, so the charge count is part
+// of the deterministic replay.
+type countingMeter struct{ n int }
+
+func (m *countingMeter) Charge(time.Duration) { m.n++ }
+
+// TestVerifyQuorum pins both the verdicts and the metered charge
+// sequence: malformed quorums are refused before any signature check,
+// and a well-formed one charges one Verify per member checked, stopping
+// at the first failure.
 func TestVerifyQuorum(t *testing.T) {
 	s := FastScheme{}
 	ring := NewKeyRing()
@@ -135,32 +146,34 @@ func TestVerifyQuorum(t *testing.T) {
 		ring.Add(types.NodeID(i), pub)
 		privs[i] = p
 	}
-	svc := NewService(s, ring, privs[0], 0, nil, Costs{})
 	msg := []byte("decide")
-	signers := []types.NodeID{0, 1, 2}
-	sigs := make([]types.Signature, 3)
-	for i, id := range signers {
-		sigs[i] = s.Sign(privs[id], msg)
-	}
-	if !svc.VerifyQuorum(signers, msg, sigs) {
-		t.Fatal("valid quorum rejected")
-	}
-	// Duplicate signer.
-	if svc.VerifyQuorum([]types.NodeID{0, 1, 1}, msg, sigs) {
-		t.Fatal("duplicate signer accepted")
-	}
-	// Wrong signature.
-	badSigs := append([]types.Signature{}, sigs...)
-	badSigs[2] = s.Sign(privs[3], msg)
-	if svc.VerifyQuorum(signers, msg, badSigs) {
-		t.Fatal("mismatched signature accepted")
-	}
-	// Length mismatch and empty.
-	if svc.VerifyQuorum(signers, msg, sigs[:2]) {
-		t.Fatal("length mismatch accepted")
-	}
-	if svc.VerifyQuorum(nil, msg, nil) {
-		t.Fatal("empty quorum accepted")
+	sign := func(id types.NodeID) types.Signature { return s.Sign(privs[id], msg) }
+	sigs := []types.Signature{sign(0), sign(1), sign(2)}
+
+	for _, tc := range []struct {
+		name        string
+		signers     []types.NodeID
+		sigs        []types.Signature
+		want        bool
+		wantCharges int
+	}{
+		{"valid quorum charges one verify per member", []types.NodeID{0, 1, 2}, sigs, true, 3},
+		{"empty quorum", nil, nil, false, 0},
+		{"length mismatch", []types.NodeID{0, 1, 2}, sigs[:2], false, 0},
+		{"duplicate signer", []types.NodeID{0, 1, 1}, []types.Signature{sigs[0], sigs[1], sigs[1]}, false, 0},
+		{"unknown signer", []types.NodeID{0, 1, 9}, sigs, false, 3},
+		{"one bad signature", []types.NodeID{0, 1, 2}, []types.Signature{sigs[0], sign(3), sigs[2]}, false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m countingMeter
+			svc := NewService(s, ring, privs[0], 0, &m, Costs{Verify: time.Microsecond})
+			if got := svc.VerifyQuorum(tc.signers, msg, tc.sigs); got != tc.want {
+				t.Fatalf("VerifyQuorum = %v, want %v", got, tc.want)
+			}
+			if m.n != tc.wantCharges {
+				t.Fatalf("charged %d verifications, want %d", m.n, tc.wantCharges)
+			}
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"achilles/internal/oneshot"
 	"achilles/internal/protocol"
 	"achilles/internal/raft"
-	"achilles/internal/sched"
 	"achilles/internal/sim"
 	"achilles/internal/tee"
 	"achilles/internal/tee/counter"
@@ -261,10 +260,6 @@ func (c *Cluster) buildReplica(id types.NodeID, recovering bool) protocol.Replic
 		return core.New(core.Config{
 			Config:    base,
 			Admission: cfg.Admission,
-			// The simulator's determinism depends on every stage running
-			// inline in program order and on every verification charging
-			// the virtual clock: pin the inline scheduler and no cache.
-			Sched: sched.NewSync(),
 
 			Scheme:              cfg.Scheme,
 			Ring:                c.ring,

@@ -14,7 +14,6 @@ import (
 	"achilles/internal/mempool"
 	"achilles/internal/obs"
 	"achilles/internal/protocol"
-	"achilles/internal/sched"
 	"achilles/internal/transport"
 	"achilles/internal/types"
 )
@@ -141,7 +140,6 @@ func TestFlightRecorderLiveSoak(t *testing.T) {
 			Priv:              privs[id],
 			MachineSecret:     secret,
 			SyntheticWorkload: true,
-			Sched:             sched.NewSync(),
 			Pool:              mempool.NewSynthetic(id, payload),
 			Spans:             spans,
 			Flight:            flight,

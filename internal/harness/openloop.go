@@ -4,7 +4,7 @@ package harness
 // live analogue of the paper's WAN evaluation row (Fig. 3, Sec. 5.1),
 // with offered load decoupled from system speed. A loadgen.Generator
 // multiplexes thousands of client sessions over a bounded connection
-// pool against real nodes running the pooled scheduler and mempool
+// pool against real nodes running the node-default hot path and mempool
 // admission control, optionally behind a netchaos WAN profile (20 ms
 // one-way latency = 40 ms RTT). Because the generator never slows
 // down, what these rows expose is the overload contract: offered vs
@@ -24,7 +24,6 @@ import (
 	"achilles/internal/netchaos"
 	"achilles/internal/obs"
 	"achilles/internal/protocol"
-	"achilles/internal/sched"
 	"achilles/internal/transport"
 	"achilles/internal/types"
 )
@@ -114,8 +113,8 @@ func PrintOpenLoopRows(w io.Writer, title string, rows []OpenLoopRow) {
 }
 
 // OpenLoopLive measures the cluster's open-loop overload behavior: a
-// closed-loop saturation probe first (synthetic workload, pooled
-// scheduler — the SchedAblation configuration), then one open-loop run
+// closed-loop saturation probe first (synthetic workload — the
+// SchedAblation configuration at depth 1), then one open-loop run
 // per configured multiple of that saturation.
 func OpenLoopLive(cfg OpenLoopConfig, d Durations) []OpenLoopRow {
 	if cfg.Nodes == 0 {
@@ -142,7 +141,7 @@ func OpenLoopLive(cfg OpenLoopConfig, d Durations) []OpenLoopRow {
 		if cfg.WAN {
 			probeChaos = netchaos.New(netchaos.Config{Seed: olSeed, Latency: wanOneWay})
 		}
-		probe, _ := runSchedConfig("pooled", 1, cfg.Nodes, cfg.BasePort, d, probeChaos, 0)
+		probe, _ := runSchedConfig(1, cfg.Nodes, cfg.BasePort, d, probeChaos, 0)
 		sat = probe.TPSk * 1000
 	}
 	if sat <= 0 {
@@ -157,15 +156,14 @@ func OpenLoopLive(cfg OpenLoopConfig, d Durations) []OpenLoopRow {
 
 // olNode is one live node of an open-loop cluster.
 type olNode struct {
-	rt   *transport.Runtime
-	rep  *core.Replica
-	pool *mempool.Pool
-	reg  *obs.Registry
+	rt  *transport.Runtime
+	rep *core.Replica
+	reg *obs.Registry
 }
 
-// olCluster is a live loopback cluster wired for open-loop load:
-// pooled scheduler, real (non-synthetic) mempool, staged admission
-// with RETRY-AFTER backpressure through the egress stage.
+// olCluster is a live loopback cluster wired for open-loop load: real
+// (non-synthetic) mempools with admission control answering overload
+// with RETRY-AFTER backpressure.
 type olCluster struct {
 	nodes  []*olNode
 	peers  map[types.NodeID]string
@@ -206,8 +204,8 @@ func derivedAdmission(sat float64, conns int) mempool.AdmissionConfig {
 	}
 }
 
-// startOpenLoopCluster boots n nodes on loopback TCP with the pooled
-// scheduler, real transaction pools, admission control and (optionally)
+// startOpenLoopCluster boots n node-default replicas on loopback TCP
+// with real transaction pools, admission control and (optionally)
 // the netchaos WAN profile on every link.
 func startOpenLoopCluster(n, basePort int, wan bool, adm mempool.AdmissionConfig) *olCluster {
 	registerLiveMessages()
@@ -231,19 +229,7 @@ func startOpenLoopCluster(n, basePort int, wan bool, adm mempool.AdmissionConfig
 			BatchSize: olBatch, PayloadSize: olPayload,
 			BaseTimeout: 500 * time.Millisecond, Seed: olSeed,
 		}
-		txpool := mempool.New()
-		cache := crypto.NewCertCache(crypto.DefaultCertCacheSize)
 		reg := obs.NewRegistry()
-
-		// Mirror achilles-node's pooled wiring, plus the admission path:
-		// the ingress verifier stages client batches with the runtime
-		// clock and answers rejections through the ordered egress stage,
-		// so RETRY-AFTER responses serialize with ordinary replies.
-		verifier := core.NewVerifier(scheme, ring, pcfg, cache)
-		verifier.SetMempool(txpool)
-		pooled := sched.NewPooled(sched.Options{Verify: verifier.PreVerify, Obs: reg})
-		verifier.SetBatchRunner(pooled.RunBatch)
-
 		var secret [32]byte
 		secret[0] = byte(id)
 		rep := core.New(core.Config{
@@ -252,9 +238,6 @@ func startOpenLoopCluster(n, basePort int, wan bool, adm mempool.AdmissionConfig
 			Ring:          ring,
 			Priv:          privs[id],
 			MachineSecret: secret,
-			Sched:         pooled,
-			CertCache:     cache,
-			Pool:          txpool,
 			Admission:     adm,
 			Obs:           reg,
 		})
@@ -265,7 +248,6 @@ func startOpenLoopCluster(n, basePort int, wan bool, adm mempool.AdmissionConfig
 			Scheme: scheme,
 			Ring:   ring,
 			Priv:   privs[id],
-			Sched:  pooled,
 		}
 		if cl.chaos != nil {
 			tcfg.Dial = cl.chaos.Dialer(cl.peers[id])
@@ -278,14 +260,10 @@ func startOpenLoopCluster(n, basePort int, wan bool, adm mempool.AdmissionConfig
 			}
 		}
 		rt := transport.New(tcfg, rep)
-		verifier.SetClock(rt.Now)
-		verifier.SetBackpressure(func(client types.NodeID, m *types.ClientRetry) {
-			pooled.Egress(func() { rt.Send(client, m) })
-		})
 		if err := rt.Start(); err != nil {
 			panic(fmt.Sprintf("open-loop: start node %v: %v", id, err))
 		}
-		cl.nodes = append(cl.nodes, &olNode{rt: rt, rep: rep, pool: txpool, reg: reg})
+		cl.nodes = append(cl.nodes, &olNode{rt: rt, rep: rep, reg: reg})
 	}
 	return cl
 }

@@ -43,7 +43,7 @@ func scrapeGauge(t *testing.T, url, name string) float64 {
 }
 
 // TestLiveOverloadSoak is the overload soak from the issue: a live n=3
-// pooled-scheduler cluster behind the netchaos WAN profile, offered
+// node-default cluster behind the netchaos WAN profile, offered
 // roughly twice its measured saturation by an open-loop generator
 // multiplexing >10,000 client sessions over a bounded connection pool.
 // It checks the overload contract end to end:
@@ -71,7 +71,7 @@ func TestLiveOverloadSoak(t *testing.T) {
 	// soak, floored so the offered rate stays a genuine overload even
 	// on slow CI.
 	probeChaos := netchaos.New(netchaos.Config{Seed: olSeed, Latency: 20 * time.Millisecond})
-	probe, _ := runSchedConfig("pooled", 1, 3, basePort, QuickDurations(), probeChaos, 0)
+	probe, _ := runSchedConfig(1, 3, basePort, QuickDurations(), probeChaos, 0)
 	sat := probe.TPSk * 1000
 	if sat < 1000 {
 		sat = 1000

@@ -63,7 +63,7 @@ type TraceBreakdownReport struct {
 }
 
 // TraceBreakdown measures span-stage latency attribution on a live
-// n-node loopback cluster. It boots three pooled-scheduler clusters in
+// n-node loopback cluster. It boots three node-default clusters in
 // sequence: one with every trace sampled (the attribution run), one at
 // the default 1/64 rate and one with tracing disabled (the overhead
 // pair). basePort spaces them apart as in SchedAblation.
@@ -72,7 +72,7 @@ func TraceBreakdown(n, basePort int, d Durations) TraceBreakdownReport {
 
 	// Attribution run: sample rate 1 so every commit the leader drives
 	// produces a critical path and every stage fills its reservoir.
-	row, tracers := runSchedConfig("pooled", 1, n, basePort, d, nil, 1)
+	row, tracers := runSchedConfig(1, n, basePort, d, nil, 1)
 
 	samples := map[string][]float64{}
 	counts := map[string]uint64{}
@@ -134,7 +134,7 @@ func TraceBreakdown(n, basePort int, d Durations) TraceBreakdownReport {
 	// keep each mode's best window — drift then cancels instead of
 	// landing on whichever mode ran first.
 	run := func(port, every int) SchedAblationRow {
-		row, _ := runSchedConfig("pooled", 1, n, port, d, nil, every)
+		row, _ := runSchedConfig(1, n, port, d, nil, every)
 		return row
 	}
 	off1 := run(basePort+100, 0)

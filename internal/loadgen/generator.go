@@ -54,7 +54,7 @@ type Config struct {
 	Obs *obs.Registry
 	// Spans, when set, samples submissions for causal tracing: a
 	// sampled batch's trace context is stamped on its wire frames (so
-	// replica-side client-admit spans share the client's trace ID) and
+	// the replica step that admits it runs under the client's trace ID) and
 	// the client records an egress-reply span — submit to certified
 	// reply, the reply leg as the client observes it — on confirmation.
 	Spans *obs.SpanTracer

@@ -59,9 +59,9 @@ type Stats struct {
 // Pool is a per-node transaction pool. The queue and dedup maps are
 // not safe for concurrent use — Add, Len, NextBatch, MarkCommitted,
 // Requeue and DrainStaged must stay on the consensus goroutine. Stage
-// is the one concurrent entry point: ingress workers park transactions
-// in a mutex-guarded staging buffer, and the consensus goroutine
-// admits them in one batch via DrainStaged. The admission counters are
+// is the one concurrent entry point: callers park transactions in a
+// mutex-guarded staging buffer, and the consensus goroutine admits
+// them in one batch via DrainStaged. The admission counters are
 // atomics so metric scrapers may call Stats from other goroutines.
 type Pool struct {
 	queue   []types.Transaction
@@ -83,7 +83,7 @@ type Pool struct {
 	staged   []types.Transaction
 
 	// admission limiter; nil when admission control is disabled. admMu
-	// serializes limiter access between Stage (ingress workers) and Add
+	// serializes limiter access between Stage (any goroutine) and Add
 	// (consensus goroutine).
 	admMu sync.Mutex
 	adm   *admission
@@ -203,12 +203,11 @@ func (p *Pool) enqueue(txs []types.Transaction) int {
 }
 
 // Stage parks client transactions for later batched admission. Safe
-// for concurrent use — this is how the ingress verify stage hands
-// transactions to the consensus goroutine without touching the dedup
-// maps. Admission control applies here (the staging buffer counts
-// toward MaxDepth) so overload is refused on the ingress worker, before
-// it can swamp the consensus loop. Duplicates are not filtered here;
-// DrainStaged inserts staged transactions with dedup as always.
+// for concurrent use. Admission control applies here (the staging
+// buffer counts toward MaxDepth). Duplicates are not filtered here;
+// DrainStaged inserts staged transactions with dedup as always. The
+// replica admits through Add; Stage/DrainStaged remain only because
+// benchmark/layers.go times them.
 func (p *Pool) Stage(txs []types.Transaction, now types.Time) AdmitResult {
 	if len(txs) == 0 {
 		return AdmitResult{}

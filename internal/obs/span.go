@@ -22,8 +22,6 @@ import (
 // interval measured by achilles_commit_latency_seconds; the rest
 // attribute work inside or around those windows.
 const (
-	// StageClientAdmit is mempool admission of one client batch.
-	StageClientAdmit = "client-admit"
 	// StageMempoolWait is the oldest admitted transaction's queue wait
 	// when a batch is drawn.
 	StageMempoolWait = "mempool-wait"
@@ -33,9 +31,6 @@ const (
 	// StagePropose is block build, TEEprepare, broadcast and self-vote
 	// (block.Proposed → end of propose()).
 	StagePropose = "propose"
-	// StageIngressVerify is stateless pre-verification of one inbound
-	// frame on the verify pool.
-	StageIngressVerify = "ingress-verify"
 	// StageQuorum is quorum assembly on the leader (end of propose() →
 	// decide).
 	StageQuorum = "quorum-assembly"
@@ -43,12 +38,12 @@ const (
 	// name in the span detail.
 	StageEcall = "tee-ecall"
 	// StageCommit is the in-loop commit step (decide → ledger commit,
-	// execute/egress handoff, durable persist).
+	// execute, client replies, durable persist).
 	StageCommit = "commit"
-	// StageExecute is the post-commit observer running on the execute
-	// stage.
+	// StageExecute is the post-commit observer, run inline in the commit
+	// step.
 	StageExecute = "execute"
-	// StageEgress is client-reply fan-out on the egress stage.
+	// StageEgress is client-reply fan-out, run inline in the commit step.
 	StageEgress = "egress-reply"
 	// StageDurable is the WAL/snapshot persist inside the commit step.
 	StageDurable = "durable-persist"
@@ -56,9 +51,8 @@ const (
 
 // SpanStages lists every stage, in lifecycle order.
 var SpanStages = []string{
-	StageClientAdmit, StageMempoolWait, StageBatch, StagePropose,
-	StageIngressVerify, StageQuorum, StageEcall, StageCommit,
-	StageExecute, StageEgress, StageDurable,
+	StageMempoolWait, StageBatch, StagePropose, StageQuorum,
+	StageEcall, StageCommit, StageExecute, StageEgress, StageDurable,
 }
 
 // CriticalStages are the stages that tile the leader's

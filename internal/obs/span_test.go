@@ -114,7 +114,7 @@ func TestSpanRingWraparoundConcurrent(t *testing.T) {
 				case 1:
 					tr.Start(ctx, StageQuorum, uint64(w), uint64(i), "").End()
 				default:
-					tr.Observe(ctx, StageIngressVerify, uint64(w), uint64(i), 0, "msg")
+					tr.Observe(ctx, StageEcall, uint64(w), uint64(i), 0, "msg")
 				}
 			}
 		}(w)

@@ -1,28 +1,14 @@
-// Package sched coordinates the replica hot path as explicit stages:
+// Package sched is the replica hot path's hop from a connection's
+// reader goroutine onto the single-threaded consensus loop:
 //
-//	ingress verify ──▶ consensus step ──▶ execute
-//	                                  └─▶ egress (client replies)
+//	reader ──Ingress──▶ consensus step ──▶ execute, egress (inline)
 //
-// A Scheduler decides where each stage runs. Two implementations share
-// the interface:
-//
-//   - Sync runs every stage inline on the caller's goroutine, in
-//     program order — bit-exact with the historical single-threaded
-//     replica. The simulator, the fuzzer and every metered experiment
-//     pin it, because their determinism depends on call order and on
-//     every verification charging the virtual clock.
-//   - Pooled (pooled.go) runs ingress verification on a worker pool,
-//     and execute/egress on single ordered workers, so a multi-core
-//     live node is no longer limited to one core's worth of ECDSA.
-//
-// Only stateless work moves off the consensus goroutine. Signature and
-// quorum-certificate checks are pure functions of (payload, signer,
-// signature) against an immutable key ring, so the verify pool can run
-// them early and record the results in a crypto.CertCache; the
-// consensus stage re-requests the same checks and hits the cache. All
-// state mutation — CHECKER calls, ledger writes, mempool admission,
-// pacemaker — stays on the consensus goroutine (see DESIGN.md,
-// "Concurrency model").
+// Sync is the one scheduler. Ingress hands each decoded message's step
+// to the bound consensus loop, tagged with its traffic lane; everything
+// after that — verification, CHECKER calls, ledger writes, execution
+// and client replies — runs inline on the consensus goroutine, in
+// program order (see DESIGN.md, "Concurrency model"). The simulator,
+// the fuzzer and the live runtime therefore share one call order.
 package sched
 
 import (
@@ -52,58 +38,8 @@ func LaneFor(msg types.Message) Lane {
 	return LaneConsensus
 }
 
-// Scheduler coordinates the staged replica hot path.
-type Scheduler interface {
-	// Name identifies the implementation ("sync", "pooled").
-	Name() string
-	// Bind installs the consensus-stage sink: deliver enqueues a step
-	// function onto the single-threaded consensus loop, tagged with the
-	// traffic lane the step belongs to. The runtime that owns the loop
-	// calls Bind exactly once before traffic flows.
-	Bind(deliver func(lane Lane, step func()))
-	// Ingress accepts one decoded inbound message and eventually hands
-	// step to the bound deliver. Implementations may first run
-	// stateless verification (on the caller's or a worker's goroutine)
-	// and may block for backpressure when the verify stage is
-	// saturated; they must never drop step while the scheduler is
-	// running. ctx is the frame's causal-tracing context (zero when
-	// untraced); implementations that meter the verify stage attribute
-	// their spans to it.
-	Ingress(from types.NodeID, msg types.Message, ctx types.TraceContext, step func())
-	// Execute schedules post-commit work (commit observers, state
-	// machine side effects) in submission order, off the consensus
-	// goroutine when the implementation allows.
-	Execute(fn func())
-	// Egress schedules reply traffic in submission order. Egress work
-	// is best-effort: an implementation overwhelmed by a slow client
-	// may shed it rather than stall consensus.
-	Egress(fn func())
-	// Stop tears the scheduler down. Work submitted after Stop may be
-	// dropped; Stop itself must not block on in-flight submissions.
-	Stop()
-}
-
-// HeightSequencer is implemented by schedulers that accept post-commit
-// work tagged with the chain height it belongs to. With chained
-// pipelining several heights commit in quick succession, and the
-// execute lane's correctness depends on applying them in height order;
-// a height-tagged submission lets the scheduler enforce (or at least
-// observe) that ordering instead of trusting submission order blindly.
-// Heights are monotone but not dense — snapshot catch-up jumps the
-// committed height forward — so implementations must only check
-// monotonicity, never buffer for gap-filling.
-type HeightSequencer interface {
-	// ExecuteAt schedules fn like Scheduler.Execute, recording that it
-	// applies commit height h. h = 0 means "not height-attributable"
-	// and is exempt from ordering checks.
-	ExecuteAt(h types.Height, fn func())
-}
-
-// Sync is the inline scheduler: every stage runs immediately on the
-// calling goroutine, preserving the exact call order of the
-// pre-pipeline replica. It is the only scheduler whose behavior is
-// bit-for-bit deterministic under the simulator, and the default
-// wherever no scheduler is configured.
+// Sync is the inline scheduler: Ingress delivers each step to the bound
+// consensus loop, which runs the rest of the hot path inline.
 type Sync struct {
 	deliver func(lane Lane, step func())
 }
@@ -111,37 +47,24 @@ type Sync struct {
 // NewSync returns an inline scheduler.
 func NewSync() *Sync { return &Sync{} }
 
-// Name implements Scheduler.
-func (s *Sync) Name() string { return "sync" }
-
-// Bind implements Scheduler.
+// Bind installs the consensus-loop sink: deliver enqueues a step onto
+// the single-threaded consensus loop, tagged with the traffic lane it
+// belongs to. The runtime that owns the loop calls Bind once, before
+// traffic flows.
 func (s *Sync) Bind(deliver func(lane Lane, step func())) { s.deliver = deliver }
 
-// Ingress implements Scheduler: the step goes straight to the
-// consensus loop with no pre-verification (the consensus handlers do
-// all checking inline, charging the meter as always).
+// Ingress hands one decoded inbound message's step to the consensus
+// loop on the message's lane. The consensus handlers do all checking
+// inline, charging the meter as always. from and ctx are ignored; the
+// signature is the one benchmark/layers.go calls.
 func (s *Sync) Ingress(_ types.NodeID, msg types.Message, _ types.TraceContext, step func()) {
-	if s.deliver != nil {
-		s.deliver(LaneFor(msg), step)
-		return
-	}
-	step()
+	s.deliver(LaneFor(msg), step)
 }
 
-// Execute implements Scheduler (inline).
-func (s *Sync) Execute(fn func()) { fn() }
-
-// ExecuteAt implements HeightSequencer (inline: submission order IS
-// height order on the single consensus goroutine).
-func (s *Sync) ExecuteAt(_ types.Height, fn func()) { fn() }
-
-// Egress implements Scheduler (inline).
+// Egress runs reply work inline. The replica replies inline itself;
+// only benchmark/layers.go calls this.
 func (s *Sync) Egress(fn func()) { fn() }
 
-// Stop implements Scheduler.
+// Stop is a no-op, since the inline scheduler owns no goroutines; only
+// benchmark/layers.go calls it.
 func (s *Sync) Stop() {}
-
-var (
-	_ Scheduler       = (*Sync)(nil)
-	_ HeightSequencer = (*Sync)(nil)
-)

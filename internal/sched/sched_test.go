@@ -1,12 +1,8 @@
 package sched
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"achilles/internal/obs"
 	"achilles/internal/types"
 )
 
@@ -24,10 +20,9 @@ func TestSyncRunsEverythingInline(t *testing.T) {
 		step()
 	})
 	s.Ingress(1, &fakeMsg{}, types.TraceContext{}, func() { order = append(order, "step") })
-	s.Execute(func() { order = append(order, "execute") })
 	s.Egress(func() { order = append(order, "egress") })
 	s.Stop()
-	want := []string{"deliver", "step", "execute", "egress"}
+	want := []string{"deliver", "step", "egress"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -35,216 +30,5 @@ func TestSyncRunsEverythingInline(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestPooledVerifiesBeforeDelivering(t *testing.T) {
-	var verified atomic.Int64
-	delivered := make(chan int, 64)
-	p := NewPooled(Options{
-		Workers: 4,
-		Verify: func(from types.NodeID, msg types.Message) {
-			verified.Add(1)
-		},
-	})
-	defer p.Stop()
-	p.Bind(func(_ Lane, step func()) { step() })
-	for i := 0; i < 32; i++ {
-		i := i
-		p.Ingress(types.NodeID(i%3), &fakeMsg{n: i}, types.TraceContext{}, func() { delivered <- i })
-	}
-	seen := make(map[int]bool)
-	for len(seen) < 32 {
-		select {
-		case i := <-delivered:
-			seen[i] = true
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d/32 steps delivered", len(seen))
-		}
-	}
-	if got := verified.Load(); got != 32 {
-		t.Fatalf("verified %d messages, want 32", got)
-	}
-}
-
-// TestPooledExecuteOrdered proves the execute stage preserves
-// submission order even though it runs off the submitting goroutine.
-func TestPooledExecuteOrdered(t *testing.T) {
-	p := NewPooled(Options{Workers: 2})
-	defer p.Stop()
-	const n = 500
-	out := make([]int, 0, n)
-	done := make(chan struct{})
-	for i := 0; i < n; i++ {
-		i := i
-		p.Execute(func() {
-			out = append(out, i)
-			if i == n-1 {
-				close(done)
-			}
-		})
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("execute stage stalled")
-	}
-	if len(out) != n {
-		t.Fatalf("ran %d tasks, want %d", len(out), n)
-	}
-	for i := range out {
-		if out[i] != i {
-			t.Fatalf("execute order broken at %d: got %d", i, out[i])
-		}
-	}
-}
-
-// TestPooledEgressShedsWhenFull: a wedged egress worker must not block
-// the submitting (consensus) goroutine.
-func TestPooledEgressShedsWhenFull(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPooled(Options{Workers: 2, EgressQueue: 4, Obs: reg})
-	defer p.Stop()
-	unblock := make(chan struct{})
-	p.Egress(func() { <-unblock })
-	// Wait until the worker picked the blocker up, then fill the queue.
-	time.Sleep(50 * time.Millisecond)
-	submitted := make(chan struct{})
-	go func() {
-		for i := 0; i < 64; i++ {
-			p.Egress(func() {})
-		}
-		close(submitted)
-	}()
-	select {
-	case <-submitted:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Egress blocked the submitter while the queue was full")
-	}
-	close(unblock)
-	if v, ok := reg.Value("achilles_sched_egress_shed_total"); !ok || v == 0 {
-		t.Fatalf("shed counter = %v (present=%v), want > 0", v, ok)
-	}
-}
-
-func TestPooledRunBatch(t *testing.T) {
-	p := NewPooled(Options{Workers: 2})
-	defer p.Stop()
-	var ran atomic.Int64
-	tasks := make([]func(), 16)
-	for i := range tasks {
-		tasks[i] = func() { ran.Add(1) }
-	}
-	p.RunBatch(tasks)
-	if got := ran.Load(); got != 16 {
-		t.Fatalf("RunBatch ran %d tasks, want 16", got)
-	}
-	p.RunBatch(nil)       // must not panic
-	p.RunBatch(tasks[:1]) // single-task fast path
-	if got := ran.Load(); got != 17 {
-		t.Fatalf("single-task RunBatch ran %d total, want 17", got)
-	}
-}
-
-// TestPooledStopUnblocksSubmitters: Ingress blocked on a full verify
-// queue must return once the scheduler stops.
-func TestPooledStopUnblocksSubmitters(t *testing.T) {
-	p := NewPooled(Options{Workers: 2, VerifyQueue: 2})
-	block := make(chan struct{})
-	defer close(block)
-	p.Bind(func(_ Lane, step func()) { step() })
-	// Wedge the workers and saturate the queue from a helper goroutine
-	// (it blocks once pool and queue are full — that is the
-	// backpressure under test).
-	go func() {
-		for i := 0; i < 8; i++ {
-			p.Ingress(0, &fakeMsg{}, types.TraceContext{}, func() { <-block })
-		}
-	}()
-	time.Sleep(100 * time.Millisecond)
-	returned := make(chan struct{})
-	go func() {
-		p.Ingress(0, &fakeMsg{}, types.TraceContext{}, func() {})
-		close(returned)
-	}()
-	time.Sleep(50 * time.Millisecond)
-	p.Stop()
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Ingress still blocked after Stop")
-	}
-}
-
-// TestPooledConcurrentSubmitters hammers all stages from many
-// goroutines; under -race it proves the scheduler's internals are
-// sound.
-func TestPooledConcurrentSubmitters(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPooled(Options{Workers: 4, Obs: reg, Verify: func(types.NodeID, types.Message) {}})
-	p.Bind(func(_ Lane, step func()) { step() })
-	var wg sync.WaitGroup
-	var steps atomic.Int64
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				p.Ingress(0, &fakeMsg{n: i}, types.TraceContext{}, func() { steps.Add(1) })
-				p.Execute(func() {})
-				p.Egress(func() {})
-			}
-		}()
-	}
-	wg.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for steps.Load() < 600 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := steps.Load(); got != 600 {
-		t.Fatalf("delivered %d steps, want 600", got)
-	}
-	p.Stop()
-}
-
-// TestPooledExecuteAtCountsRegressions: heights handed to the execute
-// lane must be strictly increasing (gaps are fine — snapshot catch-up
-// skips heights); a regression increments the alarm counter but the
-// task still runs.
-func TestPooledExecuteAtCountsRegressions(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPooled(Options{Workers: 2, Obs: reg})
-	defer p.Stop()
-
-	ran := make(chan types.Height, 16)
-	submit := func(h types.Height) {
-		p.ExecuteAt(h, func() { ran <- h })
-	}
-	// Monotone with a gap (1, 2, 5) then regressions (5 repeat, 3), then
-	// height-0 tasks, which are exempt from ordering checks.
-	for _, h := range []types.Height{1, 2, 5, 5, 3, 0, 0} {
-		submit(h)
-	}
-	for i := 0; i < 7; i++ {
-		select {
-		case <-ran:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d/7 tasks ran", i)
-		}
-	}
-	v, ok := reg.Value("achilles_sched_execute_height_regressions_total")
-	if !ok || v != 2 {
-		t.Fatalf("regression counter = %v (present=%v), want 2", v, ok)
-	}
-	// The high-water mark is unchanged by the regressions: height 4 is
-	// still "new" only if above 5 — submit 6 and confirm no new alarm.
-	submit(6)
-	select {
-	case <-ran:
-	case <-time.After(5 * time.Second):
-		t.Fatal("height-6 task never ran")
-	}
-	if v, _ := reg.Value("achilles_sched_execute_height_regressions_total"); v != 2 {
-		t.Fatalf("regression counter moved to %v after monotone submit", v)
 	}
 }

@@ -219,6 +219,11 @@ func TestLiveRecoverySoak(t *testing.T) {
 	waitCommits(victim, victimCommitsBefore+3, 60*time.Second, "post-recovery")
 	postRecovery := commits[0].Load()
 	waitCommits(0, postRecovery+2, 30*time.Second, "post-recovery cluster")
+	// Every node, not only node 0 and the victim, keeps committing under
+	// the chaos profile.
+	for i := 0; i < n; i++ {
+		waitCommits(types.NodeID(i), 20, 30*time.Second, "every node")
+	}
 
 	if len(safety.violations) != 0 {
 		t.Fatalf("safety violations at: %v", safety.violations)

@@ -128,16 +128,6 @@ type Config struct {
 	Priv   crypto.PrivateKey
 	Ring   *crypto.KeyRing
 
-	// Sched stages inbound frames through the replica hot-path pipeline
-	// (internal/sched): decoded frames enter Sched.Ingress, which may
-	// pre-verify them on worker goroutines before delivering the
-	// consensus step to the event loop. nil defaults to sched.NewSync()
-	// — frames go straight to the event loop, exactly the historical
-	// behavior. The live node passes the same scheduler instance here
-	// and to core.Config.Sched; the runtime takes ownership and stops
-	// it on Stop.
-	Sched sched.Scheduler
-
 	// Dial overrides the dialer — the netchaos fault-injection hook.
 	// nil uses net.DialTimeout.
 	Dial func(network, addr string) (net.Conn, error)
@@ -164,10 +154,9 @@ type Config struct {
 	// Consensus, recovery and timer events travel a separate priority
 	// queue that the event loop always drains first; client submission
 	// steps that find the client lane full are dropped (counted in
-	// ClientLaneDrops) rather than allowed to starve consensus. On the
-	// pooled path the transactions were already staged into the mempool
-	// by the ingress verifier, so a dropped step costs only a little
-	// batching latency, never an admitted transaction.
+	// ClientLaneDrops) rather than allowed to starve consensus. A shed
+	// step loses that submission; the client's retransmit or timeout
+	// covers it.
 	ClientQueue int
 
 	// ReplyQueue bounds each client route's outbound reply queue
@@ -206,8 +195,9 @@ type peerStats struct {
 // Client routes own a bounded reply queue drained by a dedicated
 // writer goroutine (replyLoop), so a slow client socket can never
 // stall the goroutine sending the reply — under WAN-shaped latency a
-// synchronous reply write would block the scheduler's ordered egress
-// stage, and consensus broadcasts behind it (priority inversion).
+// synchronous reply write would block the consensus goroutine that
+// sends replies inline, and consensus broadcasts behind it (priority
+// inversion).
 type route struct {
 	conn   net.Conn
 	nonce  uint64
@@ -229,7 +219,7 @@ type Runtime struct {
 	cfg     Config
 	replica protocol.Replica
 	log     *obs.Logger
-	sched   sched.Scheduler
+	sched   *sched.Sync
 
 	start    time.Time
 	events   chan func()
@@ -304,9 +294,6 @@ func New(cfg Config, r protocol.Replica) *Runtime {
 	if log == nil {
 		log = obs.NewFuncLogger(cfg.Logf, obs.LevelDebug)
 	}
-	if cfg.Sched == nil {
-		cfg.Sched = sched.NewSync()
-	}
 	if cfg.ClientQueue <= 0 {
 		cfg.ClientQueue = 4096
 	}
@@ -317,7 +304,7 @@ func New(cfg Config, r protocol.Replica) *Runtime {
 		cfg:       cfg,
 		log:       log.Component("transport"),
 		replica:   r,
-		sched:     cfg.Sched,
+		sched:     sched.NewSync(),
 		events:    make(chan func(), 4096),
 		bulk:      make(chan func(), cfg.ClientQueue),
 		stopping:  make(chan struct{}),
@@ -335,9 +322,9 @@ func New(cfg Config, r protocol.Replica) *Runtime {
 	if cfg.Priv != nil {
 		rt.helloPriv.Store(&cfg.Priv)
 	}
-	// The scheduler's consensus-stage sink is the event loop: delivered
-	// steps run single-threaded, in delivery order within a lane, like
-	// every other event. Consensus-lane steps block the submitter when
+	// The ingress hop's sink is the event loop: delivered steps run
+	// single-threaded, in delivery order within a lane, like every
+	// other event. Consensus-lane steps block the submitter when
 	// the queue is full (backpressure through the reader, exactly the
 	// historical behavior); client-lane steps are shed instead, because
 	// a flood of submissions must never be able to wedge the loop that
@@ -370,6 +357,10 @@ func (rt *Runtime) ClientLaneDrops() uint64 { return rt.laneDrops.Load() }
 // the listener is bound (or immediately for client-only runtimes).
 func (rt *Runtime) Start() error {
 	rt.start = time.Now()
+	// Init is the first event, queued before any reader can exist: a
+	// peer that connects at once (every peer does when a node reboots
+	// into a running cluster) must never reach an uninitialized replica.
+	rt.events <- func() { rt.replica.Init(rt) }
 	if rt.cfg.Listen != "" {
 		ln, err := net.Listen("tcp", rt.cfg.Listen)
 		if err != nil {
@@ -391,7 +382,6 @@ func (rt *Runtime) Start() error {
 		rt.ensureDialer(id, addr)
 	}
 	go rt.eventLoop()
-	rt.events <- func() { rt.replica.Init(rt) }
 	return nil
 }
 
@@ -432,9 +422,6 @@ func (rt *Runtime) Stop() {
 		}
 		rt.mu.Unlock()
 		rt.repliers.Wait()
-		// Stop the pipeline last: closed connections have already
-		// unblocked any egress task stuck in a socket write.
-		rt.sched.Stop()
 	})
 }
 
@@ -760,13 +747,12 @@ func (rt *Runtime) readLoop(conn net.Conn, expect types.NodeID, accepted bool) {
 			continue
 		}
 		from, msg, tc := identity, f.Msg, f.Trace
-		// Hand the decoded frame to the ingress stage. Under Sync this
-		// enqueues the step directly (the historical path); under Pooled
-		// it blocks while the verify pool is saturated — backpressure
-		// that slows this peer's reader instead of silently dropping
-		// frames. The frame's trace context becomes the runtime's
-		// outbound context for the duration of the step, so whatever the
-		// handler sends (votes, decides) stays on the sender's trace.
+		// Hand the decoded frame's step to the event loop, on its lane
+		// (a full consensus lane blocks this reader — backpressure that
+		// slows the peer instead of silently dropping frames). The
+		// frame's trace context becomes the runtime's outbound context
+		// for the duration of the step, so whatever the handler sends
+		// (votes, decides) stays on the sender's trace.
 		rt.sched.Ingress(from, msg, tc, func() {
 			rt.traceCtx.Store(tc.Pack())
 			rt.replica.OnMessage(from, msg)

@@ -23,9 +23,9 @@ import (
 // payload and no WireSize accounting — it is a transport encoding
 // only, invisible to the simulator and the golden hashes.
 
-// maxPooledWireBuf bounds the buffers the pool retains; anything
+// maxRetainedWireBuf bounds the buffers the pool retains; anything
 // bigger (a snapshot-sized outlier) is left for the collector.
-const maxPooledWireBuf = 1 << 20
+const maxRetainedWireBuf = 1 << 20
 
 var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -43,7 +43,7 @@ func GetWireBuf() *[]byte {
 // PutWireBuf returns a buffer to the pool. Oversized buffers are
 // dropped so one huge frame does not pin its capacity forever.
 func PutWireBuf(bp *[]byte) {
-	if bp == nil || cap(*bp) > maxPooledWireBuf {
+	if bp == nil || cap(*bp) > maxRetainedWireBuf {
 		return
 	}
 	wireBufPool.Put(bp)
