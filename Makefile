@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test check soak soak-overload soak-crash soak-flight soak-reconfig soak-memory fuzz fuzz-smoke fuzz-reconfig bench bench-json bench-sched bench-smoke bench-open-loop bench-durability bench-trace bench-reconfig metrics-demo clean
+.PHONY: all build vet test check soak soak-overload soak-crash soak-flight soak-reconfig soak-memory fuzz fuzz-smoke fuzz-reconfig bench bench-json bench-sched bench-smoke bench-repo-smoke bench-open-loop bench-durability bench-trace bench-reconfig metrics-demo clean
 
 all: check
 
@@ -115,6 +115,13 @@ bench-sched:
 # depth 4 must commit at least as much as at depth 1.
 bench-smoke:
 	$(GO) test -run 'TestPipelineSpeedupSmoke' -timeout 120s -count=1 -v ./internal/harness
+
+# Repository benchmark smoke (~20 s): the benchmark/ module's unit
+# tests plus a 1 s run of all four workloads. The module is built
+# against this checkout's internal packages, so a core change that
+# breaks the benchmark's build fails here.
+bench-repo-smoke:
+	cd benchmark && GOFLAGS=-mod=mod $(GO) test ./...
 
 # Live open-loop overload rows only (full windows): n=3 cluster with
 # mempool admission control behind the netchaos WAN profile,

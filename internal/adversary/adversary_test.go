@@ -131,6 +131,21 @@ func TestFuzzSweepReconfig(t *testing.T) {
 	}
 }
 
+// TestReconfigCatchUpAcrossEpoch replays reconfig sweep seeds whose
+// rebooted victim (n=3, depth 4) is still walking the chain back when a
+// key rotation activates. Its stash then holds only certificates signed
+// under the new key, which it cannot verify; without the snapshot fetch
+// that handleCC starts for them, the victim committed nothing until the
+// horizon.
+func TestReconfigCatchUpAcrossEpoch(t *testing.T) {
+	for _, seed := range []int64{2, 38, 134} {
+		s := RandomScenario(seed, false, true)
+		if r := s.Run(); r.Failed(s) {
+			t.Errorf("seed %d (%s): safety %v, liveness %v", seed, s, r.Safety, r.Liveness)
+		}
+	}
+}
+
 // TestReconfigScenarioActivates pins the basic reconfig path: a clean
 // scenario with a rotation and no other faults must activate epoch 1
 // and keep committing under the rotated key.

@@ -69,7 +69,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		syncRerequests: reg.Counter("achilles_block_sync_rerequests_total",
 			"Block-sync requests re-sent after the retry budget was exhausted."),
 		recoveryAttempts: reg.Counter("achilles_recovery_attempts_total",
-			"Recovery request rounds started (fresh nonce each)."),
+			"Recovery request broadcasts (the first and every retry of the incarnation's one request)."),
 		recoveryReplies: reg.Counter("achilles_recovery_replies_total",
 			"Recovery replies accepted while recovering."),
 		recoveryServed: reg.Counter("achilles_recovery_replies_served_total",

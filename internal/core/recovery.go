@@ -21,47 +21,51 @@ import (
 //     that view's leader, calls TEErecover, adopts the leader's stored
 //     block as preb, jumps to view v'+2 and rejoins with a NEW-VIEW.
 //
-// If the constraint cannot be met (e.g. the recovering node itself was
-// the leader, so nobody can speak for the current view), it retries
-// with a fresh nonce after roughly RecoveryRetry; the pacemaker
-// rotation of the live nodes eventually produces a leader that can
-// reply.
+// The constraint cannot be met while the live nodes sit in a view the
+// recovering node itself leads: nobody else can speak for that view.
+// Three implementation refinements keep recovery to a few message
+// delays (all instances of the paper's "send new recovery requests ...
+// in a given period" rule):
 //
-// Two implementation refinements make this fast in practice (both are
-// instances of the paper's "send new recovery requests ... in a given
-// period" rule):
-//
-//   - retry delays are staggered across attempts, because while the
-//     victim is down the live cluster spends most of its time waiting
-//     out the timeouts of views the victim would have led, and a fixed
-//     retry period can phase-lock onto those stalled windows (where
-//     the highest-view reply names the victim itself as leader and
-//     recovery can never complete);
+//   - a live node that accepts a request from the leader of its own
+//     current view leaves that view at once (onRecoveryReq): the
+//     requester's enclave is in recovery mode and cannot prepare a
+//     block there, so the view can only time out. The next view's
+//     leader then re-sends its reply (below), which is leader-backed;
 //   - peers that answered a recovery request re-send their reply the
 //     next few times their view advances, so the recovering node
-//     observes the cluster exactly when it leaves a stalled view and
-//     a live leader's reply becomes usable.
+//     observes the cluster exactly when it leaves a view and a live
+//     leader's reply becomes usable;
+//   - the request is drawn from TEErequest once per incarnation and
+//     retries re-broadcast it, so replies still in flight on slow links
+//     stay usable. Retry delays are staggered across attempts so that
+//     they do not phase-lock onto views that stall for other reasons.
 
-// startRecovery issues a fresh recovery request to all peers.
+// startRecovery broadcasts this incarnation's recovery request to all
+// peers and arms the retry timer. Only the first call draws a request
+// from TEErequest; a retry re-sends it and keeps the replies collected
+// so far, because a fresh nonce would void every reply still in flight.
+// Every reply to the one request postdates the reboot, which is all
+// the nonce has to prove.
 func (r *Replica) startRecovery() {
-	req, err := r.chk.TEErequest()
-	if err != nil {
-		return
+	if r.recReq == nil {
+		req, err := r.chk.TEErequest()
+		if err != nil {
+			return
+		}
+		r.recReq = req
 	}
 	r.recEpoch++
-	r.recNonce = req.Nonce
-	r.recReplies = make(map[types.NodeID]*MsgRecoveryRpy)
 	r.m.recoveryAttempts.Inc()
 	r.trace.Emit(obs.TraceRecoveryStart, uint64(r.view), r.obsHeight.Load(),
 		fmt.Sprintf("epoch=%d", r.recEpoch))
 	r.flightTrigger("recovery", fmt.Sprintf("epoch=%d", r.recEpoch))
-	r.env.Broadcast(&MsgRecoveryReq{Req: req})
+	r.env.Broadcast(&MsgRecoveryReq{Req: r.recReq})
 	// Bounded exponential backoff: the retry period doubles every four
 	// attempts and caps at 4x the base, so a victim facing f lying (or
 	// silent) peers neither floods the cluster with requests nor waits
 	// unboundedly once honest replies become available. The stagger term
-	// keeps retries from phase-locking onto stalled view windows (see
-	// the package comment).
+	// keeps retries from phase-locking onto stalled view windows.
 	base := r.cfg.RecoveryRetry
 	mult := time.Duration(1) << min(uint64(r.recEpoch)/4, 2)
 	delay := base*mult/2 + time.Duration(uint64(r.recEpoch)%8)*base/8
@@ -69,9 +73,10 @@ func (r *Replica) startRecovery() {
 }
 
 // onRecoveryReq answers a peer's recovery request with this node's
-// checker attestation and latest stored block. Recovering nodes must
-// not answer (they do not know their own state yet); the checker
-// enforces this too.
+// checker attestation and latest stored block, then leaves the current
+// view if the requester leads it. Recovering nodes must not answer
+// (they do not know their own state yet); the checker enforces this
+// too.
 func (r *Replica) onRecoveryReq(from types.NodeID, m *MsgRecoveryReq) {
 	if r.recovering || m.Req == nil || m.Req.Signer != from {
 		return
@@ -92,6 +97,20 @@ func (r *Replica) onRecoveryReq(from types.NodeID, m *MsgRecoveryReq) {
 	r.m.recoveryServed.Inc()
 	r.observeReplyAttested(rpy)
 	r.env.Send(from, &MsgRecoveryRpy{Rpy: rpy, Block: r.prebBlock, BC: r.prebBC, CC: r.prebCC})
+	if from != r.leaderOf(r.view) {
+		return
+	}
+	// The leader of our view is recovering: its enclave cannot prepare
+	// a block here, so the view could only time out. Leave it now. This
+	// is safe because advancing a checker's view is always allowed
+	// (TEEview is monotone) and from is authenticated, so only the
+	// leader itself can make us skip its view. The skip is not a
+	// timeout: neither the timeout counter nor the pacemaker backoff
+	// moves. enterNextView re-sends the pending reply with the new view,
+	// which the next view's leader makes leader-backed.
+	r.trace.Emit(obs.TraceViewChange, uint64(r.view), r.obsHeight.Load(), "leader-recovering")
+	r.env.Logf("view %d skipped: leader %d is recovering", r.view, from)
+	r.enterNextView()
 }
 
 // refreshRecoveryReplies re-answers outstanding recovery requests
@@ -131,7 +150,7 @@ func (r *Replica) onRecoveryRpy(from types.NodeID, m *MsgRecoveryRpy) {
 		return
 	}
 	rpy := m.Rpy
-	if rpy.Signer != from || rpy.Target != r.cfg.Self || rpy.Nonce != r.recNonce {
+	if r.recReq == nil || rpy.Signer != from || rpy.Target != r.cfg.Self || rpy.Nonce != r.recReq.Nonce {
 		return
 	}
 	// Verify the attestation signature on the host before storing the

@@ -81,7 +81,7 @@ type Config struct {
 	// certificate. Used by the ablation benchmarks.
 	DisableFastPath bool
 	// DisableReReply ablates the view-advance recovery re-replies
-	// (recovery.go), leaving only nonce-fresh retry rounds.
+	// (recovery.go), leaving only the retry rounds.
 	DisableReReply bool
 	// PipelineDepth is how many consensus heights the leader keeps in
 	// flight at once (chained pipelining, DESIGN.md §11). 0 or 1 is the
@@ -297,8 +297,8 @@ type Replica struct {
 	durHeight types.Height
 
 	recovering bool
-	recEpoch   types.View // distinguishes retry timers
-	recNonce   uint64
+	recEpoch   types.View         // distinguishes retry timers
+	recReq     *types.RecoveryReq // this incarnation's one request
 	recReplies map[types.NodeID]*MsgRecoveryRpy
 
 	// recoveryPending tracks peers we recently answered a recovery

@@ -761,6 +761,17 @@ func (r *Replica) handleCC(cc *types.CommitCert, from types.NodeID) {
 		return
 	}
 	if err := r.chk.TEEstoreCommit(cc); err != nil {
+		// We hold the certificate's whole chain, yet its quorum does not
+		// verify under our ring: it is forged, or it was signed in an
+		// epoch this node has not reached. A node catching up across a
+		// reconfiguration can end up holding only such certificates (the
+		// stash keeps the newest), and block sync alone never carries it
+		// over the epoch change; a snapshot's lineage proofs do
+		// (snapshot.go). One fetch runs at a time, so a forger gains no
+		// more than a past-horizon answer already buys.
+		if cc.Height > r.store.CommittedHeight() {
+			r.startSnapshotFetch(from)
+		}
 		return
 	}
 	newly, err := r.store.Commit(cc.Hash)
@@ -769,9 +780,16 @@ func (r *Replica) handleCC(cc *types.CommitCert, from types.NodeID) {
 		return
 	}
 	b := r.store.Get(cc.Hash)
-	r.prebBlock, r.prebCC = b, cc
-	if r.prebBC != nil && r.prebBC.Hash != cc.Hash {
-		r.prebBC = nil
+	// preb mirrors the checker's prepared state, which TEEstoreCommit
+	// moves forward only lexicographically on (view, height). With a
+	// pipeline window open the checker may already have stored h+1 when
+	// h commits; a recovery reply attesting h+1 must then carry h+1's
+	// block, or the recovering node rejects it.
+	if p := r.prebBlock; cc.View > p.View || (cc.View == p.View && cc.Height >= p.Height) {
+		r.prebBlock, r.prebCC = b, cc
+		if r.prebBC != nil && r.prebBC.Hash != cc.Hash {
+			r.prebBC = nil
+		}
 	}
 	// lastCC tracks the certified chain tip, lexicographic on (view,
 	// height): a pipelined view certifies several heights, and keeping

@@ -97,6 +97,10 @@ type ClusterConfig struct {
 	Costs   CostProfile
 	// BaseTimeout is the pacemaker's initial view timeout.
 	BaseTimeout time.Duration
+	// RecoveryRetry is the Achilles recovery re-request period
+	// (core.Config.RecoveryRetry); zero keeps the default, half of
+	// BaseTimeout.
+	RecoveryRetry time.Duration
 	// Synthetic saturates every block with generated transactions; set
 	// false when driving the cluster with real clients (Fig. 4).
 	Synthetic bool
@@ -271,6 +275,7 @@ func (c *Cluster) buildReplica(id types.NodeID, recovering bool) protocol.Replic
 			MachineSecret:       secret,
 			SealedStore:         c.sealed[id],
 			Recovering:          recovering,
+			RecoveryRetry:       cfg.RecoveryRetry,
 			ExecCostPerTx:       cfg.Costs.ExecPerTx,
 			SyntheticWorkload:   cfg.Synthetic,
 			PipelineDepth:       cfg.PipelineDepth,

@@ -84,8 +84,14 @@ func TestGoldenLedgerHashSteady(t *testing.T) {
 // TestGoldenLedgerHashRecovery pins a run with a crash, a sealed-state
 // rollback and the recovery protocol — the paths with the most
 // verification traffic and the most rng-sensitive send ordering.
+//
+// Re-baselined once when survivors started skipping a recovering
+// leader's view: the victim reboots while the survivors sit in view 397,
+// which it leads. They used to wait out that view's timer (recovery
+// 13.9 ms of virtual time); they now leave it when its request arrives
+// (recovery 2.7 ms), so every later commit time moves.
 func TestGoldenLedgerHashRecovery(t *testing.T) {
-	const want = "fc7614ff3bc669cdfbeafa5f20687f61e11fca2bbcdb123c00ec7a654d7ff553"
+	const want = "64ea3bc292706a19ab33c9bd1acb69c27a08ab16bc6195325eccf2b65546fa2e"
 	for _, depth := range goldenDepths {
 		c := NewCluster(ClusterConfig{
 			Protocol: Achilles, F: 2, BatchSize: 50, PayloadSize: 32,
